@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.combined_model import CombinedModel
-from repro.core.model_selection import BatchSelection, ModelSelector, SelectionDecision
+from repro.core.model_selection import (
+    BatchSelection,
+    ModelSelector,
+    SelectionDecision,
+    SelectionTables,
+)
 from repro.core.scaled_model import ScalingStep
 from repro.core.scaling import default_scaling_function
 from repro.features.definitions import (
@@ -83,6 +88,9 @@ class OperatorModelSet:
     models: list[CombinedModel]
     default_model: CombinedModel
     selector: ModelSelector = field(default_factory=ModelSelector)
+    _tables: SelectionTables | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -96,9 +104,22 @@ class OperatorModelSet:
     def select(self, feature_values: dict[str, float]) -> SelectionDecision:
         return self.selector.select(self.default_model, self.models, feature_values)
 
+    def selection_tables(self) -> SelectionTables:
+        """The selection tables of ``models`` and ``default_model``.
+
+        Built on first use and rebuilt whenever either attribute is
+        reassigned (or ``models`` changes in place), so a set whose default
+        is repointed after construction selects over its current models.
+        """
+        tables = self._tables
+        if tables is None or not tables.serves(self.default_model, self.models):
+            tables = SelectionTables(self.default_model, self.models)
+            self._tables = tables
+        return tables
+
     def select_batch(self, matrix: np.ndarray) -> BatchSelection:
         """Vectorised model selection for every row of a raw feature matrix."""
-        return self.selector.select_batch(self.default_model, self.models, matrix)
+        return self.selection_tables().select(matrix)
 
     def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Estimate the resource for every row of a raw feature matrix.

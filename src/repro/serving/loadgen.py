@@ -10,7 +10,11 @@ Two standard load-testing disciplines drive the coalescing front:
   per second (seeded-exponential inter-arrivals, i.e. a Poisson process)
   regardless of completions, which is how latency SLOs are measured without
   coordinated omission: a slow service visibly builds queue depth instead
-  of silently slowing the generator down.
+  of silently slowing the generator down.  Each request's latency runs from
+  its *due* time on the schedule, not from when the generator got round to
+  submitting it, so a ``submit`` that blocks is charged to every request
+  it delays; how late the generator submitted is reported separately as
+  the generator lag.
 
 Every run is **deterministic in its seed**: the full request trace —
 scenario choice, plan indices, arrival offsets — is generated up front by
@@ -166,7 +170,8 @@ class LoadReport:
     #: Open-loop offered rate; 0.0 for closed loop (offered = sustained).
     offered_qps: float
     errors: int
-    #: Measured window: first measured submit to last measured completion.
+    #: Measured window: first measured start (submit in closed loop, due
+    #: time in open loop) to last measured completion.
     duration_s: float
     #: Sustained request throughput over the measured window.
     throughput_rps: float
@@ -179,6 +184,9 @@ class LoadReport:
     max_queue_depth: int
     queue_wait_p50_ms: float
     queue_wait_p95_ms: float
+    #: Open loop: p99 over measured requests of submit time minus due time
+    #: (0.0 for closed loop, where requests have no due time).
+    generator_lag_p99_ms: float
     #: Measured requests per scenario name.
     scenario_counts: Mapping[str, int] = field(default_factory=dict)
 
@@ -204,6 +212,7 @@ class LoadReport:
             "max_queue_depth": self.max_queue_depth,
             "queue_wait_p50_ms": round(self.queue_wait_p50_ms, 3),
             "queue_wait_p95_ms": round(self.queue_wait_p95_ms, 3),
+            "generator_lag_p99_ms": round(self.generator_lag_p99_ms, 3),
             "scenario_counts": dict(sorted(self.scenario_counts.items())),
         }
 
@@ -228,6 +237,7 @@ class LoadReport:
             f"max queue depth {self.max_queue_depth}",
             f"queue wait (ms): p50={self.queue_wait_p50_ms:.2f} "
             f"p95={self.queue_wait_p95_ms:.2f}",
+            f"generator lag (ms): p99={self.generator_lag_p99_ms:.2f}",
         ]
         if self.scenario_counts:
             mix = ", ".join(
@@ -251,13 +261,14 @@ def run_load(
     total = len(trace)
     starts = np.zeros(total, dtype=np.float64)
     ends = np.zeros(total, dtype=np.float64)
+    lags = np.zeros(total, dtype=np.float64)
     failed = np.zeros(total, dtype=bool)
 
     server.start()
     if config.mode == "closed":
         _run_closed(server, by_name, trace, starts, ends, failed, config)
     else:
-        _run_open(server, by_name, trace, starts, ends, failed, config)
+        _run_open(server, by_name, trace, starts, ends, lags, failed)
 
     measured = np.asarray([not spec.warmup for spec in trace], dtype=bool)
     completed = measured & ~failed
@@ -292,6 +303,7 @@ def run_load(
         max_queue_depth=coalescing.max_queue_depth,
         queue_wait_p50_ms=stats.queue_wait_p50_ms,
         queue_wait_p95_ms=stats.queue_wait_p95_ms,
+        generator_lag_p99_ms=float(np.percentile(lags[measured], 99.0)) * 1000.0,
         scenario_counts=scenario_counts,
     )
 
@@ -351,20 +363,20 @@ def _run_open(
     trace: tuple[RequestSpec, ...],
     starts: np.ndarray,
     ends: np.ndarray,
+    lags: np.ndarray,
     failed: np.ndarray,
-    config: LoadConfig,
 ) -> None:
     done = threading.Semaphore(0)
     run_start = time.perf_counter()
     futures: "list[Future[WorkloadEstimate]]" = []
     for spec in trace:
-        target = run_start + spec.arrival_s
-        delay = target - time.perf_counter()
+        due = run_start + spec.arrival_s
+        delay = due - time.perf_counter()
         if delay > 0.0:
             time.sleep(delay)
         plans, resources = _request_plans(by_name, spec)
-        submitted = time.perf_counter()
-        starts[spec.index] = submitted
+        starts[spec.index] = due
+        lags[spec.index] = time.perf_counter() - due
 
         def record(
             future: "Future[WorkloadEstimate]", index: int = spec.index
