@@ -12,10 +12,11 @@ The service adds one serving-side optimisation over the bare estimator:
 **per-plan feature-row caching**.  Feature extraction is the only
 per-operator Python-loop work left on the batched estimation path, and
 serving scenarios (admission control, repeated what-if costing, scheduling)
-ask about the same plans repeatedly — so extraction results are memoised per
-plan object in a bounded LRU.  Cached or not, the service's numbers are
-bit-identical to ``estimator.estimate_workload``: both paths feed the same
-feature rows through the same family-batched model evaluation.
+ask about the same plans repeatedly — so each plan's extraction result, its
+``{node_id: OperatorFeatures}`` mapping, is memoised per plan object in a
+bounded LRU.  Cached or not, the service's numbers are bit-identical to
+``estimator.estimate_workload``: both paths feed the same mappings through
+:meth:`~repro.core.estimator.ResourceEstimator.estimate_extracted_workload`.
 
 Serving is guardrailed (:mod:`repro.robustness`): inputs are validated
 against the training-feature envelopes (``on_invalid`` selects whether
@@ -306,12 +307,16 @@ class EstimationService:
         return self.estimate_workload([plan], (resource,)).query(0, resource)
 
     def validate_workload(self, plans: Iterable[QueryPlan]) -> ValidationReport:
-        """Pre-flight validation only: no estimation, no stats updates."""
+        """Pre-flight validation only: no estimation, no stats updates.
+
+        Features are read through (and fill) the feature cache, but the
+        lookups are not counted as cache hits or misses.
+        """
         with self._lock:
             estimator = self.estimator
             validator = self._validator
         return validator.validate_workload(
-            [self._plan_features(plan, estimator) for plan in plans]
+            [self._cached_features(plan, estimator)[0] for plan in plans]
         )
 
     # -- artifact lifecycle ----------------------------------------------------------------------
@@ -452,35 +457,41 @@ class EstimationService:
     def _plan_features(
         self, plan: QueryPlan, estimator: ResourceEstimator | None = None
     ) -> dict[int, OperatorFeatures]:
+        """A plan's features through the cache, counted as a hit or a miss."""
         if estimator is None:
             with self._lock:
                 estimator = self.estimator
+        features, hit = self._cached_features(plan, estimator)
+        with self.stats.lock:
+            if hit:
+                self.stats.cache_hits += 1
+            else:
+                self.stats.cache_misses += 1
+        return features
+
+    def _cached_features(
+        self, plan: QueryPlan, estimator: ResourceEstimator
+    ) -> tuple[dict[int, OperatorFeatures], bool]:
+        """A plan's features and whether the cache had them (no stats)."""
         key = id(plan)
         with self._lock:
             cached = self._feature_cache.get(key)
             if cached is not None:
                 if cached[0] is plan:
                     self._feature_cache.move_to_end(key)
-                else:
-                    # id() was recycled for a new plan object: the cached entry
-                    # is stale and can never hit again — drop it before
-                    # re-populating.
-                    del self._feature_cache[key]
-                    cached = None
-        if cached is not None:
-            with self.stats.lock:
-                self.stats.cache_hits += 1
-            return cached[1]
+                    return cached[1], True
+                # id() was recycled for a new plan object: the cached entry
+                # is stale and can never hit again — drop it before
+                # re-populating.
+                del self._feature_cache[key]
         # Extraction runs outside the lock: concurrent misses on the same plan
         # may extract twice, but the results are identical and last-write-wins
         # keeps the cache coherent.
         features = estimator.extract_plan_features(plan)
-        with self.stats.lock:
-            self.stats.cache_misses += 1
         if self.cache_size > 0:
             with self._lock:
                 self._feature_cache[key] = (plan, features)
                 self._feature_cache.move_to_end(key)
                 while len(self._feature_cache) > self.cache_size:
                     self._feature_cache.popitem(last=False)
-        return features
+        return features, False

@@ -4,14 +4,19 @@ A trained :class:`ResourceEstimator` maps an annotated query plan to
 estimates of its CPU time and logical I/O at three granularities: per
 operator, per pipeline and per query.
 
-Estimation is batched end to end: :meth:`ResourceEstimator.estimate_workload`
-extracts features for every plan, groups operator rows by
-``(family, resource)`` into contiguous float64 matrices, runs one vectorised
-model-selection + MART evaluation per group, and scatters the results back to
-per-operator/per-pipeline/per-query granularities.  The per-plan and
-per-operator methods are thin wrappers over the same family-batch internals,
-so scalar/batch parity holds by construction — and the batched path makes the
-paper's observation that prediction overhead is negligible next to query
+Estimation is batched end to end through one path.  Each plan's features
+are extracted into a ``{node_id: OperatorFeatures}`` mapping
+(:meth:`ResourceEstimator.extract_plan_features`); the mappings are grouped
+by operator family into contiguous float64 matrices
+(:func:`~repro.features.extractor.group_by_family`); each
+``(family, resource)`` group runs through one vectorised model-selection +
+MART evaluation; and the results are scattered into one ``{node_id:
+estimate}`` dict per plan whose keys follow the plan's own pre-order.  Model
+evaluation is row-independent and every sum over a plan's operators runs in
+that fixed order, so a plan's per-operator, per-pipeline and per-query
+estimates are the same bits whether it is estimated alone, through the
+scalar methods or inside any batch.  The batched path makes the paper's
+observation that prediction overhead is negligible next to query
 optimisation (Section 7.3) hold for whole workloads, not just single calls.
 """
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +51,13 @@ from repro.features.definitions import (
     features_for_family,
     operator_family,
 )
-from repro.features.extractor import FeatureExtractor, OperatorFeatures
+from repro.features.extractor import (
+    FamilyRows,
+    FeatureExtractor,
+    OperatorFeatures,
+    family_matrix,
+    group_by_family,
+)
 from repro.plan.operators import PlanOperator
 from repro.plan.plan import QueryPlan
 
@@ -59,17 +70,6 @@ _LOGGER = logging.getLogger("repro.core.estimator")
 
 #: The resources the library models, as in the paper.
 DEFAULT_RESOURCES: tuple[str, ...] = ("cpu", "io")
-
-
-def _family_matrix(
-    family: OperatorFamily, feature_rows: Sequence[dict[str, float]]
-) -> np.ndarray:
-    """Dense matrix over the family's canonical feature order."""
-    names = features_for_family(family)
-    return np.array(
-        [[row.get(name, 0.0) for name in names] for row in feature_rows],
-        dtype=np.float64,
-    ).reshape(len(feature_rows), len(names))
 
 
 @dataclass
@@ -204,7 +204,7 @@ class ResourceEstimator:
         for family, data in training_data.items():
             if data.feature_rows:
                 estimator.envelopes[family] = FeatureEnvelope.fit(
-                    family, _family_matrix(family, data.feature_rows)
+                    family, family_matrix(family, data.feature_rows)
                 )
         for resource in resources:
             per_tuple_rates: list[float] = []
@@ -296,23 +296,13 @@ class ResourceEstimator:
     ) -> WorkloadEstimate:
         """Batch-estimate a whole workload of plans in one pass.
 
-        Features are extracted for every plan, operator rows are grouped by
-        family into contiguous matrices, and each ``(family, resource)``
-        group runs through one vectorised model-selection + MART evaluation.
+        Extracts every plan through :meth:`extract_plan_features` and
+        estimates the result with :meth:`estimate_extracted_workload`.
         """
         plans = list(plans)
-        family_rows = self._extractor.extract_plans(plans)
-        groups: dict[OperatorFamily, list[tuple[int, int]]] = {}
-        matrices: dict[OperatorFamily, np.ndarray] = {}
-        for family, rows in family_rows.items():
-            groups[family] = list(
-                zip(rows.plan_indices.tolist(), rows.node_ids.tolist())
-            )
-            matrices[family] = rows.matrix
-        return self._estimate_grouped(
+        return self.estimate_extracted_workload(
             plans,
-            groups,
-            matrices,
+            [self.extract_plan_features(plan) for plan in plans],
             resources,
             guardrails=guardrails,
             ood_threshold=ood_threshold,
@@ -321,7 +311,7 @@ class ResourceEstimator:
     def estimate_extracted_workload(
         self,
         plans: Sequence[QueryPlan],
-        extracted: Sequence[dict],
+        extracted: Sequence[Mapping[int, OperatorFeatures]],
         resources: Sequence[str] | None = None,
         *,
         guardrails: bool = True,
@@ -330,9 +320,11 @@ class ResourceEstimator:
         """Batch-estimate plans whose features are already extracted.
 
         ``extracted[i]`` is the :meth:`extract_plan_features` result of
-        ``plans[i]``.  This is the shared tail of the batched path: the
-        serving layer feeds cached extraction results through it, so cached
-        and uncached estimates are identical by construction.
+        ``plans[i]``.  This is the one batched path: :meth:`estimate_workload`
+        and the serving layer's cached extraction both end here.  Operator
+        rows are grouped by family, each ``(family, resource)`` group is
+        evaluated in one call, and plan ``i``'s estimates are keyed in the
+        order of ``extracted[i]`` (the plan's pre-order).
 
         With ``guardrails`` on (the default), rows the MART models cannot
         serve — non-finite features, a raising model, non-finite or negative
@@ -345,62 +337,28 @@ class ResourceEstimator:
         whose features lie outside the training envelopes by more than that
         many training-ranges.
         """
-        plans = list(plans)
-        groups: dict[OperatorFamily, list[tuple[int, int]]] = {}
-        rows_by_family: dict[OperatorFamily, list[dict[str, float]]] = {}
-        for plan_index, plan_features in enumerate(extracted):
-            for node_id, op_features in plan_features.items():
-                groups.setdefault(op_features.family, []).append((plan_index, node_id))
-                rows_by_family.setdefault(op_features.family, []).append(
-                    op_features.values
-                )
-        matrices = {
-            family: _family_matrix(family, rows)
-            for family, rows in rows_by_family.items()
-        }
-        return self._estimate_grouped(
-            plans,
-            groups,
-            matrices,
-            resources,
-            guardrails=guardrails,
-            ood_threshold=ood_threshold,
-        )
-
-    def _estimate_grouped(
-        self,
-        plans: list[QueryPlan],
-        groups: dict[OperatorFamily, list[tuple[int, int]]],
-        matrices: dict[OperatorFamily, np.ndarray],
-        resources: Sequence[str] | None,
-        *,
-        guardrails: bool,
-        ood_threshold: float | None,
-    ) -> WorkloadEstimate:
-        """Shared tail of the batched path: model evaluation over grouped rows.
-
-        ``groups[family][i]`` is the ``(plan_index, node_id)`` source of row
-        ``i`` of ``matrices[family]``.  Both batched entry points (fresh
-        extraction and the serving layer's cached extraction) land here, so
-        their numbers are identical by construction.
-        """
         resources = tuple(resources) if resources is not None else self.resources
         for resource in resources:
             self._check_resource(resource)
-
+        family_rows = group_by_family(extracted)
+        owners = {
+            family: list(zip(rows.plan_indices.tolist(), rows.node_ids.tolist()))
+            for family, rows in family_rows.items()
+        }
         operator_estimates: dict[str, list[dict[int, float]]] = {
-            resource: [{} for _ in plans] for resource in resources
+            resource: [dict.fromkeys(plan_features, 0.0) for plan_features in extracted]
+            for resource in resources
         }
         entries: list[DegradedOperator] = []
         for resource in resources:
             per_plan = operator_estimates[resource]
-            for family, rows in groups.items():
+            for family, rows in family_rows.items():
                 if guardrails:
                     predictions, tiers, reasons = self._predict_family_rows_guarded(
-                        family, matrices[family], resource
+                        family, rows.matrix, resource
                     )
                     for row_index, reason in reasons.items():
-                        plan_index, node_id = rows[row_index]
+                        plan_index, node_id = owners[family][row_index]
                         entries.append(
                             DegradedOperator(
                                 plan_index=plan_index,
@@ -411,19 +369,17 @@ class ResourceEstimator:
                             )
                         )
                 else:
-                    predictions = self._predict_family_rows(
-                        family, matrices[family], resource
-                    )
-                for (plan_index, node_id), value in zip(rows, predictions):
+                    predictions = self._predict_family_rows(family, rows.matrix, resource)
+                for (plan_index, node_id), value in zip(owners[family], predictions):
                     per_plan[plan_index][node_id] = float(value)
         degradation = None
         if guardrails:
             degradation = DegradationReport(
                 entries=tuple(entries),
-                ood_plans=self._flag_ood_plans(groups, matrices, ood_threshold),
+                ood_plans=self._flag_ood_plans(family_rows, ood_threshold),
             )
         return WorkloadEstimate(
-            plans=plans,
+            plans=list(plans),
             resources=resources,
             operator_estimates=operator_estimates,
             degradation=degradation,
@@ -446,14 +402,15 @@ class ResourceEstimator:
         resource: str = "cpu",
     ) -> np.ndarray:
         """Batch-estimate already-extracted feature dictionaries of one family."""
-        return self._predict_family_rows(family, _family_matrix(family, feature_rows), resource)
+        return self._predict_family_rows(family, family_matrix(family, feature_rows), resource)
 
     def extract_plan_features(self, plan: QueryPlan) -> dict[int, OperatorFeatures]:
         """Per-operator feature vectors of a plan, in this estimator's mode.
 
-        Public so serving layers (e.g. the
-        :class:`~repro.api.EstimationService`) can cache extraction results
-        per plan and feed them back through :meth:`estimate_feature_rows`.
+        Keys follow the plan's pre-order.  Public so serving layers (e.g.
+        the :class:`~repro.api.EstimationService`) can cache extraction
+        results per plan and feed them back through
+        :meth:`estimate_extracted_workload`.
         """
         return self._extractor.extract_plan(plan)
 
@@ -672,22 +629,21 @@ class ResourceEstimator:
 
     def _flag_ood_plans(
         self,
-        groups: dict[OperatorFamily, list[tuple[int, int]]],
-        matrices: dict[OperatorFamily, np.ndarray],
+        family_rows: dict[OperatorFamily, FamilyRows],
         ood_threshold: float | None,
     ) -> dict[int, float]:
         """Plans whose features leave the training envelopes, with scores."""
         ood_plans: dict[int, float] = {}
         if ood_threshold is None:
             return ood_plans
-        for family, rows in groups.items():
+        for family, rows in family_rows.items():
             envelope = self.envelopes.get(family)
             if envelope is None:
                 continue
-            scores = envelope.out_scores(matrices[family])
+            scores = envelope.out_scores(rows.matrix)
             flagged = np.flatnonzero(np.isfinite(scores) & (scores > float(ood_threshold)))
             for row_index in flagged:
-                plan_index = rows[int(row_index)][0]
+                plan_index = int(rows.plan_indices[row_index])
                 score = float(scores[row_index])
                 if score > ood_plans.get(plan_index, 0.0):
                     ood_plans[plan_index] = score

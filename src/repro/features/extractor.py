@@ -12,7 +12,7 @@ are known exactly a priori in both modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.features.definitions import (
 from repro.plan.operators import OperatorType, PlanOperator
 from repro.plan.plan import QueryPlan
 
-__all__ = ["OperatorFeatures", "FamilyRows", "FeatureExtractor"]
+__all__ = ["OperatorFeatures", "FamilyRows", "FeatureExtractor", "family_matrix", "group_by_family"]
 
 #: Stable integer encoding of the categorical OUTPUTUSAGE feature.
 _OPERATOR_TYPE_CODES: dict[OperatorType, int] = {
@@ -64,6 +64,48 @@ class FamilyRows:
     matrix: np.ndarray
 
 
+def family_matrix(
+    family: OperatorFamily, feature_rows: Sequence[Mapping[str, float]]
+) -> np.ndarray:
+    """Dense (rows x features) matrix over the family's canonical feature order.
+
+    Features a row does not carry read as ``0.0``.
+    """
+    names = features_for_family(family)
+    return np.array(
+        [[row.get(name, 0.0) for name in names] for row in feature_rows],
+        dtype=np.float64,
+    ).reshape(len(feature_rows), len(names))
+
+
+def group_by_family(
+    extracted: Sequence[Mapping[int, OperatorFeatures]],
+) -> dict[OperatorFamily, FamilyRows]:
+    """Group per-plan ``{node_id: OperatorFeatures}`` mappings by family.
+
+    ``extracted[i]`` describes plan ``i`` (as returned by
+    :meth:`FeatureExtractor.extract_plan`).  Families appear in first-seen
+    order; within a family, rows follow plan order, then each mapping's own
+    order.  This is the one place per-plan features become model inputs.
+    """
+    buckets: dict[OperatorFamily, tuple[list[int], list[int], list[Mapping[str, float]]]] = {}
+    for plan_index, plan_features in enumerate(extracted):
+        for node_id, features in plan_features.items():
+            plan_indices, node_ids, rows = buckets.setdefault(features.family, ([], [], []))
+            plan_indices.append(plan_index)
+            node_ids.append(node_id)
+            rows.append(features.values)
+    return {
+        family: FamilyRows(
+            family=family,
+            plan_indices=np.asarray(plan_indices, dtype=np.int64),
+            node_ids=np.asarray(node_ids, dtype=np.int64),
+            matrix=family_matrix(family, rows),
+        )
+        for family, (plan_indices, node_ids, rows) in buckets.items()
+    }
+
+
 class FeatureExtractor:
     """Computes per-operator feature vectors from an annotated plan."""
 
@@ -72,50 +114,27 @@ class FeatureExtractor:
 
     # -- public API ------------------------------------------------------------------------
     def extract_plan(self, plan: QueryPlan) -> dict[int, OperatorFeatures]:
-        """Feature vectors for every operator of ``plan``, keyed by node id."""
+        """Feature vectors for every operator of ``plan``, keyed by node id.
+
+        Keys follow the plan's pre-order, so everything keyed by this
+        mapping (e.g. a plan's per-operator estimates) shares that order.
+        """
+        operators = plan.operators()
         parents: dict[int, PlanOperator | None] = {plan.root.node_id: None}
-        for op in plan.operators():
+        for op in operators:
             for child in op.children:
                 parents[child.node_id] = op
         return {
             op.node_id: self.extract_operator(op, parents.get(op.node_id))
-            for op in plan.operators()
+            for op in operators
         }
 
     def extract_plans(self, plans: Sequence[QueryPlan]) -> dict[OperatorFamily, FamilyRows]:
-        """Batched extraction: one (rows x features) matrix per family.
+        """One (rows x features) matrix per family across ``plans``.
 
-        Feature values are computed once per operator and written straight
-        into a preallocated matrix — no per-plan feature dict is retained.
-        Rows appear in plan order, then operator (pre-order) within the
-        plan, matching the grouping of
-        :meth:`~repro.core.estimator.ResourceEstimator.estimate_extracted_workload`
-        exactly, so the two paths produce identical estimates.
+        :func:`group_by_family` over :meth:`extract_plan` of every plan.
         """
-        buckets: dict[OperatorFamily, list[tuple[int, int, dict[str, float]]]] = {}
-        for plan_index, plan in enumerate(plans):
-            parents: dict[int, PlanOperator | None] = {plan.root.node_id: None}
-            for op in plan.operators():
-                for child in op.children:
-                    parents[child.node_id] = op
-            for op in plan.operators():
-                features = self.extract_operator(op, parents.get(op.node_id))
-                buckets.setdefault(features.family, []).append(
-                    (plan_index, op.node_id, features.values)
-                )
-        out: dict[OperatorFamily, FamilyRows] = {}
-        for family, rows in buckets.items():
-            names = features_for_family(family)
-            matrix = np.empty((len(rows), len(names)), dtype=np.float64)
-            for i, (_, _, values) in enumerate(rows):
-                matrix[i] = [values.get(name, 0.0) for name in names]
-            out[family] = FamilyRows(
-                family=family,
-                plan_indices=np.asarray([row[0] for row in rows], dtype=np.int64),
-                node_ids=np.asarray([row[1] for row in rows], dtype=np.int64),
-                matrix=matrix,
-            )
-        return out
+        return group_by_family([self.extract_plan(plan) for plan in plans])
 
     def extract_operator(
         self, op: PlanOperator, parent: PlanOperator | None = None

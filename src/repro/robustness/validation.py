@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.features.definitions import OperatorFamily, features_for_family
+from repro.features.extractor import OperatorFeatures, group_by_family
 from repro.robustness.envelope import FeatureEnvelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.estimator import ResourceEstimator
-    from repro.features.extractor import OperatorFeatures
 
 __all__ = [
     "ValidationIssue",
@@ -128,7 +128,7 @@ class PlanValidator:
         return cls(envelopes=dict(estimator.envelopes), ood_threshold=ood_threshold)
 
     def validate_workload(
-        self, extracted: Sequence[Mapping[int, "OperatorFeatures"]]
+        self, extracted: Sequence[Mapping[int, OperatorFeatures]]
     ) -> ValidationReport:
         """Check every operator row of an extracted workload.
 
@@ -138,23 +138,13 @@ class PlanValidator:
         """
 
         issues: list[ValidationIssue] = []
-        groups: dict[OperatorFamily, list[tuple[int, int, Mapping[str, float]]]] = {}
-        for plan_index, plan_features in enumerate(extracted):
-            for node_id, op_features in plan_features.items():
-                groups.setdefault(op_features.family, []).append(
-                    (plan_index, node_id, op_features.values)
-                )
-
-        for family, rows in groups.items():
+        for family, rows in group_by_family(extracted).items():
             names = features_for_family(family)
-            matrix = np.array(
-                [[values.get(name, 0.0) for name in names] for _, _, values in rows],
-                dtype=np.float64,
-            ).reshape(len(rows), len(names))
-            finite = np.isfinite(matrix)
+            owners = list(zip(rows.plan_indices.tolist(), rows.node_ids.tolist()))
+            finite = np.isfinite(rows.matrix)
             row_finite = finite.all(axis=1)
             for row_index in np.flatnonzero(~row_finite):
-                plan_index, node_id, _ = rows[row_index]
+                plan_index, node_id = owners[row_index]
                 bad = [names[col] for col in np.flatnonzero(~finite[row_index])]
                 issues.append(
                     ValidationIssue(
@@ -169,7 +159,7 @@ class PlanValidator:
 
             envelope = self.envelopes.get(family)
             if envelope is None:
-                for plan_index, node_id, _ in rows:
+                for plan_index, node_id in owners:
                     issues.append(
                         ValidationIssue(
                             plan_index=plan_index,
@@ -181,10 +171,10 @@ class PlanValidator:
                     )
                 continue
 
-            scores = envelope.out_scores(matrix)
+            scores = envelope.out_scores(rows.matrix)
             ood_rows = np.flatnonzero(row_finite & (scores > self.ood_threshold))
             for row_index in ood_rows:
-                plan_index, node_id, _ = rows[row_index]
+                plan_index, node_id = owners[row_index]
                 issues.append(
                     ValidationIssue(
                         plan_index=plan_index,
@@ -203,7 +193,7 @@ class PlanValidator:
         return ValidationReport(issues=tuple(issues), n_plans=len(extracted))
 
     def require_valid(
-        self, extracted: Sequence[Mapping[int, "OperatorFeatures"]]
+        self, extracted: Sequence[Mapping[int, OperatorFeatures]]
     ) -> ValidationReport:
         """Validate and raise :class:`PlanValidationError` on fatal issues."""
 

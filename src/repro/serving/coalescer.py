@@ -12,16 +12,16 @@ traffic: callers submit requests into a thread-safe queue, a single worker
 thread drains the queue into **micro-batches** (closed by whichever comes
 first: ``max_batch_size`` coalesced plans, or ``max_wait_ms`` elapsed since
 the batch opened), serves each batch with one
-:meth:`~repro.api.EstimationService.estimate_workload` call riding the
-vectorised ``extract_plans`` → ``FlatForest.predict_batch`` path, and
-demultiplexes the batched :class:`~repro.core.estimator.WorkloadEstimate`
-back to per-request futures.
+:meth:`~repro.api.EstimationService.estimate_workload` call, and slices the
+batched :class:`~repro.core.estimator.WorkloadEstimate` back into
+per-request futures.
 
 Model evaluation is row-independent (per-row model selection, per-row tree
-descent), so a plan's estimate does not depend on which other plans share
-its matrix — coalesced results are **bit-identical** to direct
-``estimate_workload`` calls.  ``max_wait_ms`` bounds the queue latency any
-request can pay on top of its batch's service time.
+descent), and each plan's estimates are keyed in the plan's own pre-order
+whatever batch it rides, so every per-operator value and every sum over a
+plan's operators is **bit-identical** to a direct ``estimate_workload``
+call.  ``max_wait_ms`` bounds the queue latency any request can pay on top
+of its batch's service time.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Iterable, Sequence
 
 from repro.api.service import EstimationObserver, EstimationService
 from repro.core.estimator import WorkloadEstimate
-from repro.features.definitions import OperatorFamily, operator_family
 from repro.plan.plan import QueryPlan
 from repro.robustness.degradation import DegradationReport
 from repro.robustness.validation import PlanValidationError
@@ -355,33 +354,12 @@ def _slice_estimate(
 ) -> WorkloadEstimate:
     """The request's own ``WorkloadEstimate``, cut out of a coalesced batch.
 
-    The per-plan estimate dictionaries are **rebuilt in exactly the
-    insertion order a direct ``estimate_workload`` call would produce**
-    (operator families in first-seen order across the request's plans,
-    nodes in plan pre-order within each family).  The float values are
-    already identical row-for-row; replaying the direct call's dict order
-    additionally makes every order-dependent float summation downstream —
-    ``query``/``query_totals``/``pipelines`` — bit-identical too, not just
-    equal-per-operator.  The degradation report is re-indexed into the
-    request's local plan numbering so it reads exactly like a direct
-    call's report.
+    A plan's estimate dicts do not depend on its batch (values and key
+    order alike), so the slice shares the batch's per-plan dicts.  The
+    degradation report is re-indexed into the request's local plan
+    numbering so it reads exactly like a direct call's report.
     """
     stop = offset + n_plans
-    plans = combined.plans[offset:stop]
-    group_order: dict[OperatorFamily, list[tuple[int, int]]] = {}
-    for plan_index, plan in enumerate(plans):
-        for op in plan.operators():
-            group_order.setdefault(operator_family(op.op_type), []).append(
-                (plan_index, op.node_id)
-            )
-    operator_estimates: dict[str, list[dict[int, float]]] = {}
-    for resource in resources:
-        source = combined.operator_estimates[resource]
-        per_plan: list[dict[int, float]] = [{} for _ in plans]
-        for rows in group_order.values():
-            for plan_index, node_id in rows:
-                per_plan[plan_index][node_id] = source[offset + plan_index][node_id]
-        operator_estimates[resource] = per_plan
     degradation: DegradationReport | None = None
     if combined.degradation is not None:
         entries = tuple(
@@ -398,6 +376,9 @@ def _slice_estimate(
     return WorkloadEstimate(
         plans=combined.plans[offset:stop],
         resources=resources,
-        operator_estimates=operator_estimates,
+        operator_estimates={
+            resource: combined.operator_estimates[resource][offset:stop]
+            for resource in resources
+        },
         degradation=degradation,
     )
