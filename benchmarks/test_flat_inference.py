@@ -8,9 +8,7 @@ configuration of the source paper) and asserts
 
 * >= 5x rows/sec at serving-shape batch sizes (the per-(family, resource)
   groups a workload estimate actually feeds the models), and
-* bit-identical predictions, and
-* version-3 artifacts (flat arrays, mmap-ready) cold-start no slower than
-  version-2 artifacts (per-tree node records re-walked at decode time).
+* bit-identical predictions.
 
 Opt-in like the other reproductions: ``pytest benchmarks/test_flat_inference.py``.
 """
@@ -21,31 +19,14 @@ import time
 
 import numpy as np
 
-from repro.api.service import EstimationService
-from repro.catalog.statistics import StatisticsCatalog
-from repro.core.estimator import ResourceEstimator
-from repro.core.serialization import save_estimator
-from repro.core.trainer import TrainerConfig
-from repro.experiments import config as cfg
 from repro.experiments.reporting import ResultTable
-from repro.features.definitions import FeatureMode
 from repro.ml.mart import MARTConfig, MARTRegressor
-from repro.optimizer.planner import Planner
-from repro.query.tpch_templates import tpch_template_set
-from repro.workloads.datasets import build_training_data, split_workload
 
 #: Paper-scale boosting budget (Section 4: 1000 iterations, <= 10 leaves).
 _PAPER_MART = MARTConfig(
     n_iterations=1000, max_leaves=10, learning_rate=0.1, subsample=0.7, random_seed=7
 )
 
-#: Reduced budget for the cold-start half (same as the other overhead
-#: benchmarks) so the artifact round trip dominates, not training.
-_BENCH_TRAINER = TrainerConfig(
-    mart=MARTConfig(n_iterations=40, max_leaves=8, learning_rate=0.15, subsample=0.9)
-)
-
-_RESOURCES = ("cpu", "io")
 _BATCH_SIZES = (128, 256, 512, 2048)
 #: Serving-shape batches: the per-(family, resource) row groups a workload
 #: estimate feeds each model are typically a few hundred rows.
@@ -121,63 +102,3 @@ def test_flat_kernel_speedup_at_paper_scale(printer):
             f"the {_MIN_SERVING_SPEEDUP:.0f}x floor"
         )
 
-
-def test_v3_artifact_cold_start_beats_v2(experiment_config, printer, tmp_path):
-    workload = cfg.tpch_workload(experiment_config)
-    train, _ = split_workload(
-        workload, experiment_config.train_fraction, seed=experiment_config.seed
-    )
-    training_data = build_training_data(train, FeatureMode.EXACT)
-    estimator = ResourceEstimator.train(
-        training_data, FeatureMode.EXACT, resources=_RESOURCES, config=_BENCH_TRAINER
-    )
-    planner = Planner(workload.catalog, StatisticsCatalog(workload.catalog))
-    queries = tpch_template_set().generate(workload.catalog, 50, seed=37)
-    plans = [planner.plan(query) for query in queries]
-
-    v2_path = tmp_path / "model_v2.bin"
-    v3_path = tmp_path / "model_v3.bin"
-    save_estimator(estimator, v2_path, version=2)
-    save_estimator(estimator, v3_path, version=3)
-
-    def cold_start(path, mmap):
-        service = EstimationService.from_artifact(path, mmap=mmap)
-        return service.estimate_workload(plans, _RESOURCES)
-
-    # Warm-up pass per variant (page cache, imports), then min-of-N.
-    v2_estimate = cold_start(v2_path, mmap=False)
-    v3_estimate = cold_start(v3_path, mmap=True)
-    v2_s, v3_s = _interleaved_min_seconds(
-        lambda: cold_start(v2_path, mmap=False), lambda: cold_start(v3_path, mmap=True)
-    )
-
-    table = ResultTable(
-        experiment_id="Flat cold start",
-        title="Artifact-to-first-estimate cold start: v2 node records vs v3 mmap",
-        columns=["Quantity", "Value"],
-    )
-    table.add_row(Quantity="Workload size (queries)", Value=len(plans))
-    table.add_row(Quantity="v2 artifact (KB)", Value=round(v2_path.stat().st_size / 1024.0, 1))
-    table.add_row(Quantity="v3 artifact (KB)", Value=round(v3_path.stat().st_size / 1024.0, 1))
-    table.add_row(
-        Quantity=f"v2 load+estimate, min of {_REPEATS} (ms)", Value=round(v2_s * 1e3, 2)
-    )
-    table.add_row(
-        Quantity=f"v3 mmap load+estimate, min of {_REPEATS} (ms)",
-        Value=round(v3_s * 1e3, 2),
-    )
-    table.add_row(Quantity="Cold-start speedup (x)", Value=round(v2_s / max(v3_s, 1e-12), 2))
-    table.notes = (
-        "v2 decode re-walks every tree node into objects and compiles on first "
-        "predict; v3 frombuffers the flat arrays straight out of the mapped file."
-    )
-    printer(table)
-
-    for resource in _RESOURCES:
-        assert np.array_equal(
-            v2_estimate.query_totals(resource), v3_estimate.query_totals(resource)
-        )
-    assert v3_s <= v2_s, (
-        f"v3 mmap cold start ({v3_s * 1e3:.1f}ms) is slower than v2 decode "
-        f"({v2_s * 1e3:.1f}ms)"
-    )

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from repro.core.estimator import ResourceEstimator
-from repro.core.serialization import read_artifact_version
+from repro.core.serialization import ARTIFACT_VERSION
 
 __all__ = [
     "ModelManifest",
@@ -71,7 +71,7 @@ class ModelManifest:
     version: str
     #: SHA-256 of the artifact bytes as written.
     checksum: str
-    #: Codec format version of the artifact (``read_artifact_version``).
+    #: Codec format version of the artifact (``ARTIFACT_VERSION`` when written).
     artifact_version: int
     #: Fingerprint of the training corpus (:func:`corpus_fingerprint`).
     corpus: dict[str, object] = field(default_factory=dict)
@@ -173,7 +173,7 @@ class ModelRegistry:
             manifest = ModelManifest(
                 version=version,
                 checksum=_sha256(artifact),
-                artifact_version=read_artifact_version(artifact),
+                artifact_version=ARTIFACT_VERSION,
                 corpus=dict(corpus or {}),
                 metrics={k: dict(v) for k, v in (metrics or {}).items()},
                 parent=parent,

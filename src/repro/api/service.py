@@ -250,9 +250,9 @@ class EstimationService:
         Transient IO errors are retried up to ``retries`` times with
         exponential backoff (``backoff * 2**attempt`` seconds); decode
         errors fail immediately.  ``reader`` overrides the file reader
-        (used by fault-injection tests).  With ``mmap=True`` a version-3
-        artifact's inference arrays are memory-mapped zero-copy instead of
-        decoded, shrinking artifact-to-first-estimate cold start.
+        (used by fault-injection tests).  With ``mmap=True`` the artifact's
+        inference arrays are memory-mapped zero-copy instead of decoded,
+        shrinking artifact-to-first-estimate cold start.
         """
         estimator = load_estimator_with_retry(
             path, retries=retries, backoff=backoff, reader=reader, mmap=mmap

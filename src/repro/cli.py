@@ -79,7 +79,6 @@ from repro.core.serialization import (
     EstimatorCodecError,
     ModelSizeReport,
     load_estimator,
-    read_artifact_version,
 )
 from repro.core.trainer import TrainerConfig
 from repro.experiments.config import ExperimentConfig, get_config
@@ -889,13 +888,12 @@ def _run_models_inspect(args: argparse.Namespace) -> int:
     """Print the format header and ModelSizeReport of a model artifact."""
     try:
         estimator = _load_native_estimator(args.artifact)
-        artifact_version = read_artifact_version(args.artifact)
     except (EstimatorCodecError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = ModelSizeReport.for_estimator(estimator)
     print(f"artifact: {args.artifact} ({args.artifact.stat().st_size:,} bytes on disk)")
-    print(f"format version: {artifact_version}")
+    print(f"format version: {ARTIFACT_VERSION}")
     print(f"feature mode: {estimator.feature_mode.value}")
     print(f"resources: {', '.join(estimator.resources)}")
     families = sorted({family.value for family, _ in estimator.model_sets})
@@ -904,29 +902,23 @@ def _run_models_inspect(args: argparse.Namespace) -> int:
     print(f"models: {report.n_models}")
     print(f"compact-encoding size: {report.total_bytes:,} bytes")
     print(f"largest single model: {report.largest_single_model_bytes:,} bytes")
-    if artifact_version >= 3:
-        ensembles: dict[int, object] = {}
-        for model_set in estimator.model_sets.values():
-            for combined in [*model_set.models, model_set.default_model]:
-                ensembles.setdefault(id(combined), combined)
-        n_trees = n_nodes = array_bytes = 0
-        dtype_summary = ""
-        for combined in ensembles.values():
-            stats = combined.model_.flat_forest().stats()
-            n_trees += stats.n_trees
-            n_nodes += stats.n_nodes
-            array_bytes += stats.array_bytes
-            dtype_summary = stats.dtype_summary
-        print(
-            f"flat layout: {n_trees:,} trees / {n_nodes:,} nodes across "
-            f"{len(ensembles)} compiled ensemble(s), {array_bytes:,} bytes "
-            f"({dtype_summary})"
-        )
-    else:
-        print(
-            "flat layout: not persisted (version < 3); trees will compile to "
-            "flat arrays on first predict"
-        )
+    ensembles: dict[int, object] = {}
+    for model_set in estimator.model_sets.values():
+        for combined in [*model_set.models, model_set.default_model]:
+            ensembles.setdefault(id(combined), combined)
+    n_trees = n_nodes = array_bytes = 0
+    dtype_summary = ""
+    for combined in ensembles.values():
+        stats = combined.model_.flat_forest().stats()
+        n_trees += stats.n_trees
+        n_nodes += stats.n_nodes
+        array_bytes += stats.array_bytes
+        dtype_summary = stats.dtype_summary
+    print(
+        f"flat layout: {n_trees:,} trees / {n_nodes:,} nodes across "
+        f"{len(ensembles)} compiled ensemble(s), {array_bytes:,} bytes "
+        f"({dtype_summary})"
+    )
     manifest = manifest_for_artifact(args.artifact)
     if manifest is not None:
         print(f"registry version: {manifest.version} ({manifest.status})")

@@ -168,7 +168,7 @@ class ResourceEstimator:
     trainer_config: TrainerConfig | None = None
     #: Per-family training-feature envelopes recorded at fit time; drive OOD
     #: detection (:class:`~repro.robustness.validation.PlanValidator`) and
-    #: the artifact canary checks.  Empty for pre-robustness (v1) artifacts.
+    #: the artifact canary checks.  Empty for hand-built estimators.
     envelopes: dict[OperatorFamily, FeatureEnvelope] = field(default_factory=dict)
     #: Median per-tuple rate per (family, resource) — the FAMILY_RATE tier.
     family_rates: dict[tuple[OperatorFamily, str], float] = field(default_factory=dict)

@@ -26,6 +26,7 @@ Two encodings live here, serving two different purposes:
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -57,8 +58,6 @@ __all__ = [
     "EstimatorCodecError",
     "ARTIFACT_MAGIC",
     "ARTIFACT_VERSION",
-    "SUPPORTED_ARTIFACT_VERSIONS",
-    "read_artifact_version",
     "pack_envelope",
     "unpack_envelope",
     "estimator_to_bytes",
@@ -212,28 +211,19 @@ class ModelSizeReport:
 
 #: Leading magic of every estimator artifact (8 bytes).
 ARTIFACT_MAGIC = b"RPROEST\x00"
-#: Current artifact format version.  Bumped on any incompatible layout change;
-#: :func:`load_estimator` refuses other versions instead of guessing.
-#: Version 2 added the optional ``robustness`` metadata section (feature
-#: envelopes, per-family rates, scaling fallbacks); version 3 replaced the
-#: per-tree node records with the flat structure-of-arrays ensemble layout
-#: (little-endian, 8-byte aligned) so loading can ``frombuffer``/mmap the
-#: inference arrays directly instead of re-walking nodes.  Version-1/2
-#: artifacts still load, compiling to flat arrays on first use.
+#: The artifact format version, the only one written or read.  Bumped on any
+#: incompatible layout change; :func:`load_estimator` refuses every other
+#: version instead of guessing.  The layout stores the flat structure-of-arrays
+#: ensembles (little-endian, 8-byte aligned), so loading can
+#: ``frombuffer``/mmap the inference arrays directly, plus the ``robustness``
+#: metadata section (feature envelopes, per-family rates, scaling fallbacks).
 ARTIFACT_VERSION = 3
-#: Artifact format versions :func:`load_estimator` accepts.
-SUPPORTED_ARTIFACT_VERSIONS: tuple[int, ...] = (1, 2, 3)
 
 #: Shared envelope after the magic: format version (u16), CRC-32 of the
 #: body (u32).  Both the native codec and the technique-adapter artifacts
 #: (:mod:`repro.api.adapters`) frame their payload with it.
 _ENVELOPE_HEADER = "<HI"
 _ENVELOPE_HEADER_BYTES = struct.calcsize(_ENVELOPE_HEADER)
-
-#: Full-precision tree node record: split feature (i2, -1 for leaves),
-#: right-child offset (u2), threshold or leaf value (f8).
-_FULL_NODE_FORMAT = "<hHd"
-_FULL_NODE_BYTES = struct.calcsize(_FULL_NODE_FORMAT)
 
 
 class EstimatorCodecError(ValueError):
@@ -246,19 +236,17 @@ def pack_envelope(magic: bytes, version: int, body: bytes) -> bytes:
 
 
 def unpack_envelope(
-    data: "bytes | memoryview", magic: bytes, version: "int | tuple[int, ...]", kind: str
+    data: "bytes | memoryview", magic: bytes, version: int, kind: str
 ) -> "tuple[int, bytes | memoryview]":
     """Validate an artifact envelope and return ``(version, body)`` (strict).
 
-    ``version`` is the accepted format version, or a tuple of them when the
-    codec can read several (the native estimator codec reads versions 1-3).
-    Raises :class:`EstimatorCodecError` on a wrong magic, an unsupported
-    format version, or a CRC mismatch (flipped or truncated bytes anywhere
-    in the body).  ``kind`` labels the artifact family in error messages.
-    ``data`` may be a ``memoryview`` (e.g. over an ``mmap``), in which case
-    the returned body is a zero-copy view.
+    ``version`` is the one accepted format version.  Raises
+    :class:`EstimatorCodecError` on a wrong magic, any other format version,
+    or a CRC mismatch (flipped or truncated bytes anywhere in the body).
+    ``kind`` labels the artifact family in error messages.  ``data`` may be
+    a ``memoryview`` (e.g. over an ``mmap``), in which case the returned
+    body is a zero-copy view.
     """
-    accepted = (version,) if isinstance(version, int) else tuple(version)
     prefix = len(magic)
     if len(data) < prefix + _ENVELOPE_HEADER_BYTES:
         raise EstimatorCodecError(
@@ -269,11 +257,10 @@ def unpack_envelope(
             f"not a repro {kind} artifact (bad magic); refusing to load"
         )
     got_version, crc = struct.unpack_from(_ENVELOPE_HEADER, data, prefix)
-    if got_version not in accepted:
-        readable = ", ".join(str(v) for v in accepted)
+    if got_version != version:
         raise EstimatorCodecError(
             f"unsupported {kind} artifact format version {got_version}; this build "
-            f"reads version(s) {readable} only — retrain and re-save the model"
+            f"reads version {version} only — retrain and re-save the model"
         )
     body = data[prefix + _ENVELOPE_HEADER_BYTES :]
     if zlib.crc32(body) != crc:
@@ -283,107 +270,8 @@ def unpack_envelope(
     return int(got_version), body
 
 
-def _encode_tree_full(tree: RegressionTree) -> bytes:
-    """Full-precision (float64) encoding of a fitted regression tree."""
-    if tree.root is None:
-        raise ValueError("cannot serialize an unfitted tree")
-    nodes: list[TreeNode] = []
-    _flatten(tree.root, nodes)
-    index = {id(node): i for i, node in enumerate(nodes)}
-    out = bytearray(struct.pack("<I", len(nodes)))
-    for i, node in enumerate(nodes):
-        if node.is_leaf:
-            out += struct.pack(_FULL_NODE_FORMAT, -1, 0, float(node.value))
-        else:
-            assert node.right is not None
-            offset = index[id(node.right)] - i
-            if offset > 0xFFFF:
-                raise ValueError("tree too large for the artifact encoding")
-            out += struct.pack(_FULL_NODE_FORMAT, int(node.feature), offset, float(node.threshold))
-    return bytes(out)
-
-
-def _decode_tree_full(data: bytes, pos: int) -> tuple[RegressionTree, int]:
-    """Decode one full-precision tree starting at ``pos``; returns (tree, new pos).
-
-    Structural validation is strict: out-of-range child indices raise
-    :class:`EstimatorCodecError` (a CRC-valid artifact can still be
-    malformed if it was produced by a broken encoder).
-    """
-    (n_nodes,) = struct.unpack_from("<I", data, pos)
-    if n_nodes == 0:
-        raise EstimatorCodecError("tree record with zero nodes")
-    pos += 4
-    records = []
-    for i in range(n_nodes):
-        records.append(struct.unpack_from(_FULL_NODE_FORMAT, data, pos + i * _FULL_NODE_BYTES))
-    pos += n_nodes * _FULL_NODE_BYTES
-
-    def build(index: int) -> tuple[TreeNode, int]:
-        if index >= n_nodes:
-            raise EstimatorCodecError("tree record references a node past the end")
-        feature, offset, value = records[index]
-        if feature < 0:
-            return TreeNode(value=float(value)), index + 1
-        if offset < 2:  # left subtree holds at least one node between parent and right child
-            raise EstimatorCodecError(f"invalid right-child offset {offset} in tree record")
-        left, _ = build(index + 1)
-        right, next_index = build(index + offset)
-        return (
-            TreeNode(value=0.0, feature=int(feature), threshold=float(value),
-                     left=left, right=right),
-            next_index,
-        )
-
-    root, _ = build(0)
-    tree = RegressionTree()
-    tree.root = root
-    return tree, pos
-
-
-def _encode_mart_full(model: MARTRegressor) -> bytes:
-    """Full-precision encoding of a fitted MART ensemble (weights only).
-
-    Hyper-parameters (including the learning rate the prediction path needs)
-    travel in the JSON metadata as a complete :class:`MARTConfig`.
-    """
-    if model.n_features_ is None or model.feature_range_ is None:
-        raise ValueError("cannot serialize an unfitted MART model")
-    lows, highs = model.feature_range_
-    out = bytearray(
-        struct.pack("<dII", float(model.initial_prediction_), model.n_features_, len(model.trees_))
-    )
-    out += np.asarray(lows, dtype="<f8").tobytes()
-    out += np.asarray(highs, dtype="<f8").tobytes()
-    for tree in model.trees_:
-        out += _encode_tree_full(tree)
-    return bytes(out)
-
-
-def _decode_mart_full(data: bytes, config: MARTConfig) -> MARTRegressor:
-    """Decode a MART ensemble encoded by :func:`_encode_mart_full`."""
-    initial, n_features, n_trees = struct.unpack_from("<dII", data, 0)
-    pos = struct.calcsize("<dII")
-    lows = np.frombuffer(data, dtype="<f8", count=n_features, offset=pos).copy()
-    pos += 8 * n_features
-    highs = np.frombuffer(data, dtype="<f8", count=n_features, offset=pos).copy()
-    pos += 8 * n_features
-    model = MARTRegressor(config)
-    model.initial_prediction_ = float(initial)
-    model.n_features_ = int(n_features)
-    model.feature_range_ = (lows, highs)
-    model.trees_ = []
-    for _ in range(n_trees):
-        tree, pos = _decode_tree_full(data, pos)
-        tree.n_features_ = int(n_features)
-        model.trees_.append(tree)
-    if pos != len(data):
-        raise EstimatorCodecError("trailing bytes after MART ensemble payload")
-    return model
-
-
 def _encode_mart_flat(model: MARTRegressor) -> bytes:
-    """Version-3 encoding: the compiled flat arrays, little-endian, aligned.
+    """Encode a MART ensemble as its compiled flat arrays, little-endian, aligned.
 
     Layout (all offsets 8-byte aligned relative to the blob start, which the
     writer itself aligns within the artifact):
@@ -513,17 +401,14 @@ def _trainer_config_from_record(record: dict | None) -> TrainerConfig | None:
     )
 
 
-def _combined_model_record(model: CombinedModel, payload: bytearray, version: int) -> dict:
+def _combined_model_record(model: CombinedModel, payload: bytearray) -> dict:
     """Append the model's MART weights to ``payload``; return its JSON record."""
     if model.model_ is None:
         raise ValueError(f"cannot serialize untrained combined model {model.name}")
-    if version >= 3:
-        # Pad so the blob (and therefore its 8-byte arrays) stays aligned;
-        # the writer aligns the payload start within the artifact to match.
-        payload += b"\x00" * (-len(payload) % 8)
-        blob = _encode_mart_flat(model.model_)
-    else:
-        blob = _encode_mart_full(model.model_)
+    # Pad so the blob (and therefore its 8-byte arrays) stays aligned; the
+    # writer aligns the payload start within the artifact to match.
+    payload += b"\x00" * (-len(payload) % 8)
+    blob = _encode_mart_flat(model.model_)
     offset = len(payload)
     payload += blob
     return {
@@ -549,7 +434,6 @@ def _combined_model_from_record(
     family: OperatorFamily,
     resource: str,
     payload: "bytes | memoryview",
-    version: int,
 ) -> CombinedModel:
     steps = tuple(
         ScalingStep(feature=s["feature"], function=make_scaling_function(s["function"]))
@@ -565,11 +449,7 @@ def _combined_model_from_record(
     start, length = record["blob_offset"], record["blob_length"]
     if start < 0 or start + length > len(payload):
         raise EstimatorCodecError("model weight blob lies outside the artifact payload")
-    blob = payload[start : start + length]
-    if version >= 3:
-        model.model_ = _decode_mart_flat(blob, model.mart_config)
-    else:
-        model.model_ = _decode_mart_full(blob, model.mart_config)
+    model.model_ = _decode_mart_flat(payload[start : start + length], model.mart_config)
     model.training_low_ = {k: float(v) for k, v in record["training_low"].items()}
     model.training_high_ = {k: float(v) for k, v in record["training_high"].items()}
     model.training_error_ = float(record["training_error"])
@@ -579,33 +459,23 @@ def _combined_model_from_record(
     return model
 
 
-def estimator_to_bytes(
-    estimator: "ResourceEstimator", version: int = ARTIFACT_VERSION
-) -> bytes:
-    """Serialize a trained ResourceEstimator into a versioned artifact.
+def estimator_to_bytes(estimator: "ResourceEstimator") -> bytes:
+    """Serialize a trained ResourceEstimator into an :data:`ARTIFACT_VERSION` artifact.
 
-    ``version`` selects the artifact layout (any supported version can be
-    written, so tests and benchmarks can produce legacy artifacts): 1 omits
-    the robustness section, 2 stores per-tree node records, 3 (default)
-    stores the flat structure-of-arrays layout with 8-byte alignment so the
-    loader can frombuffer/mmap the inference arrays.
+    The ensembles are stored as flat structure-of-arrays blobs with 8-byte
+    alignment, so the loader can frombuffer/mmap the inference arrays.
     """
-    if version not in SUPPORTED_ARTIFACT_VERSIONS:
-        readable = ", ".join(str(v) for v in SUPPORTED_ARTIFACT_VERSIONS)
-        raise ValueError(f"cannot write artifact version {version}; supported: {readable}")
     payload = bytearray()
     model_sets = []
     for (family, resource), model_set in estimator.model_sets.items():
-        records = [
-            _combined_model_record(model, payload, version) for model in model_set.models
-        ]
+        records = [_combined_model_record(model, payload) for model in model_set.models]
         try:
             default_index = next(
                 i for i, m in enumerate(model_set.models) if m is model_set.default_model
             )
         except StopIteration:
             # Degenerate (hand-built) set whose default is not among models.
-            records.append(_combined_model_record(model_set.default_model, payload, version))
+            records.append(_combined_model_record(model_set.default_model, payload))
             default_index = len(records) - 1
         model_sets.append(
             {
@@ -625,23 +495,21 @@ def estimator_to_bytes(
         },
         "trainer_config": _trainer_config_record(estimator.trainer_config),
         "model_sets": model_sets,
+        "robustness": _robustness_record(estimator),
     }
-    if version >= 2:
-        header["robustness"] = _robustness_record(estimator)
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    if version >= 3:
-        # Pad the JSON (trailing whitespace is legal) so the payload lands on
-        # an 8-byte boundary of the file: magic (8) + envelope header (6) +
-        # length prefix (4) + header must be a multiple of 8 for the blob
-        # arrays to be naturally aligned when the artifact is mmap'd.
-        fixed = len(ARTIFACT_MAGIC) + _ENVELOPE_HEADER_BYTES + 4
-        header_bytes += b" " * (-(fixed + len(header_bytes)) % 8)
+    # Pad the JSON (trailing whitespace is legal) so the payload lands on an
+    # 8-byte boundary of the file: magic (8) + envelope header (6) + length
+    # prefix (4) + header must be a multiple of 8 for the blob arrays to be
+    # naturally aligned when the artifact is mmap'd.
+    fixed = len(ARTIFACT_MAGIC) + _ENVELOPE_HEADER_BYTES + 4
+    header_bytes += b" " * (-(fixed + len(header_bytes)) % 8)
     body = struct.pack("<I", len(header_bytes)) + header_bytes + bytes(payload)
-    return pack_envelope(ARTIFACT_MAGIC, version, body)
+    return pack_envelope(ARTIFACT_MAGIC, ARTIFACT_VERSION, body)
 
 
 def _robustness_record(estimator: "ResourceEstimator") -> dict:
-    """The version-2 robustness metadata section (pure JSON)."""
+    """The robustness metadata section (pure JSON)."""
     return {
         "envelopes": [env.record() for env in estimator.envelopes.values()],
         "family_rates": [
@@ -655,20 +523,18 @@ def _robustness_record(estimator: "ResourceEstimator") -> dict:
     }
 
 
-def _apply_robustness_record(estimator: "ResourceEstimator", record: dict | None) -> None:
-    """Populate the robustness sections; absent (v1 artifacts) means empty."""
+def _apply_robustness_record(estimator: "ResourceEstimator", record: dict) -> None:
+    """Populate the robustness sections from their (required) header record."""
     from repro.robustness.degradation import ScalingFallback
     from repro.robustness.envelope import FeatureEnvelope
 
-    if record is None:
-        return
-    for env_record in record.get("envelopes", []):
+    for env_record in record["envelopes"]:
         envelope = FeatureEnvelope.from_record(env_record)
         estimator.envelopes[envelope.family] = envelope
-    for rate_record in record.get("family_rates", []):
+    for rate_record in record["family_rates"]:
         key = (OperatorFamily(rate_record["family"]), str(rate_record["resource"]))
         estimator.family_rates[key] = float(rate_record["rate"])
-    for fb_record in record.get("scaling_fallbacks", []):
+    for fb_record in record["scaling_fallbacks"]:
         key = (OperatorFamily(fb_record["family"]), str(fb_record["resource"]))
         estimator.scaling_fallbacks[key] = ScalingFallback.from_record(fb_record)
 
@@ -676,18 +542,17 @@ def _apply_robustness_record(estimator: "ResourceEstimator", record: dict | None
 def estimator_from_bytes(data: "bytes | bytearray | memoryview") -> "ResourceEstimator":
     """Reconstruct a ResourceEstimator from artifact bytes (strict, versioned).
 
-    Raises :class:`EstimatorCodecError` on a wrong magic, an unsupported
-    format version, a CRC mismatch (flipped or truncated bytes anywhere in
-    the body) or a structurally invalid metadata section.  ``data`` may be a
-    ``memoryview`` over an mmap'd file, in which case version-3 inference
-    arrays are zero-copy views into the mapping.
+    Raises :class:`EstimatorCodecError` on a wrong magic, a format version
+    other than :data:`ARTIFACT_VERSION`, a CRC mismatch (flipped or
+    truncated bytes anywhere in the body) or a structurally invalid metadata
+    section, including a missing ``robustness`` section.  ``data`` may be a
+    ``memoryview`` over an mmap'd file, in which case the inference arrays
+    are zero-copy views into the mapping.
     """
     from repro.core.estimator import ResourceEstimator, _FallbackModel
 
     view = data if isinstance(data, memoryview) else memoryview(bytes(data))
-    version, body = unpack_envelope(
-        view, ARTIFACT_MAGIC, SUPPORTED_ARTIFACT_VERSIONS, "estimator"
-    )
+    _, body = unpack_envelope(view, ARTIFACT_MAGIC, ARTIFACT_VERSION, "estimator")
     if len(body) < 4:
         raise EstimatorCodecError("artifact body is truncated")
     (header_len,) = struct.unpack_from("<I", body, 0)
@@ -713,7 +578,7 @@ def estimator_from_bytes(data: "bytes | bytearray | memoryview") -> "ResourceEst
             family = OperatorFamily(set_record["family"])
             resource = set_record["resource"]
             models = [
-                _combined_model_from_record(record, family, resource, payload, version)
+                _combined_model_from_record(record, family, resource, payload)
                 for record in set_record["models"]
             ]
             default_index = int(set_record["default_index"])
@@ -728,20 +593,27 @@ def estimator_from_bytes(data: "bytes | bytearray | memoryview") -> "ResourceEst
                 models=models,
                 default_model=models[default_index],
             )
-        _apply_robustness_record(estimator, header.get("robustness"))
+        _apply_robustness_record(estimator, header["robustness"])
     except EstimatorCodecError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, struct.error, RecursionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, struct.error) as exc:
         raise EstimatorCodecError(f"structurally invalid artifact: {exc}") from exc
     return estimator
 
 
-def save_estimator(
-    estimator: "ResourceEstimator", path: str | Path, version: int = ARTIFACT_VERSION
-) -> Path:
-    """Write a trained estimator to ``path`` as a versioned artifact."""
+def save_estimator(estimator: "ResourceEstimator", path: str | Path) -> Path:
+    """Write a trained estimator to ``path`` as a versioned artifact.
+
+    The artifact is written to a temp file in the same directory, then
+    renamed over ``path``: readers never see a partial file, and a process
+    that memory-mapped the previous artifact keeps its (now unlinked) inode
+    instead of faulting on a truncated one.
+    """
     path = Path(path)
-    path.write_bytes(estimator_to_bytes(estimator, version=version))
+    data = estimator_to_bytes(estimator)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
     return path
 
 
@@ -767,9 +639,9 @@ def mmap_artifact(path: str | Path) -> memoryview:
 def load_estimator(path: str | Path, mmap: bool = False) -> "ResourceEstimator":
     """Load an estimator artifact written by :func:`save_estimator` (strict).
 
-    With ``mmap=True`` the file is memory-mapped and version-3 inference
-    arrays become zero-copy views into the mapping (pages fault in on first
-    use instead of being read and re-walked up front).
+    With ``mmap=True`` the file is memory-mapped and the inference arrays
+    become zero-copy views into the mapping (pages fault in on first use
+    instead of being read up front).
     """
     path = Path(path)
     try:
@@ -778,34 +650,3 @@ def load_estimator(path: str | Path, mmap: bool = False) -> "ResourceEstimator":
         raise EstimatorCodecError(f"cannot read artifact {path}: {exc}") from exc
     return estimator_from_bytes(data)
 
-
-def read_artifact_version(path: str | Path) -> int:
-    """The format version stored in a native estimator artifact's header.
-
-    Validates the magic and the version (but not the body CRC — this is a
-    cheap metadata peek, not a load).  Raises :class:`EstimatorCodecError`
-    for files that are not native estimator artifacts or carry a version
-    this build cannot read.
-    """
-    path = Path(path)
-    try:
-        with path.open("rb") as handle:
-            head = handle.read(len(ARTIFACT_MAGIC) + _ENVELOPE_HEADER_BYTES)
-    except OSError as exc:
-        raise EstimatorCodecError(f"cannot read artifact {path}: {exc}") from exc
-    if len(head) < len(ARTIFACT_MAGIC) + _ENVELOPE_HEADER_BYTES:
-        raise EstimatorCodecError(
-            f"estimator artifact is truncated ({len(head)} bytes; smaller than the header)"
-        )
-    if head[: len(ARTIFACT_MAGIC)] != ARTIFACT_MAGIC:
-        raise EstimatorCodecError(
-            "not a repro estimator artifact (bad magic); refusing to load"
-        )
-    (version,) = struct.unpack_from("<H", head, len(ARTIFACT_MAGIC))
-    if version not in SUPPORTED_ARTIFACT_VERSIONS:
-        readable = ", ".join(str(v) for v in SUPPORTED_ARTIFACT_VERSIONS)
-        raise EstimatorCodecError(
-            f"unsupported estimator artifact format version {version}; this build "
-            f"reads version(s) {readable} only — retrain and re-save the model"
-        )
-    return int(version)

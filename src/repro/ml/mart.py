@@ -70,9 +70,9 @@ class MARTRegressor:
     def trees_(self) -> list[RegressionTree]:
         """The fitted trees, materialised on demand.
 
-        A model restored from a v3 artifact holds only the compiled
+        A model restored from an artifact holds only the compiled
         :class:`FlatForest`; accessing ``trees_`` decompiles it back into
-        ``TreeNode`` trees (introspection, legacy-format encoding).
+        ``TreeNode`` trees (introspection, the compact size encoding).
         """
         if self._trees is None:
             assert self._compiled is not None

@@ -40,8 +40,8 @@ __all__ = [
 
 _LOGGER = logging.getLogger("repro.robustness.lifecycle")
 
-#: Synthetic canary cardinalities used when no envelope is recorded
-#: (v1 artifacts): one typical and one large-but-sane row.
+#: Synthetic canary cardinalities for estimators without a recorded envelope
+#: for that family: one typical and one large-but-sane row.
 _SYNTHETIC_CANARY_VALUES = (1.0, 1000.0)
 
 
@@ -68,8 +68,8 @@ def load_estimator_with_retry(
     does the final IO failure, chained from the underlying ``OSError``.
 
     With ``mmap=True`` (and no custom ``reader``) the artifact is
-    memory-mapped instead of read, so version-3 inference arrays are
-    zero-copy views into the file (see
+    memory-mapped instead of read, so the inference arrays are zero-copy
+    views into the file (see
     :func:`repro.core.serialization.load_estimator`).
     """
 
@@ -150,7 +150,8 @@ class CanaryReport:
 def _canary_matrix(
     estimator: "ResourceEstimator", family: OperatorFamily
 ) -> np.ndarray:
-    """Envelope-derived canary rows, or synthetic rows for v1 artifacts."""
+    """Envelope-derived canary rows, or synthetic rows for estimators without
+    a recorded envelope for that family."""
 
     from repro.features.definitions import features_for_family
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import threading
 
 import pytest
@@ -32,7 +33,7 @@ from repro.adaptive import (
 )
 from repro.api.protocol import TrainingCorpus
 from repro.api.service import EstimationService
-from repro.core.serialization import read_artifact_version
+from repro.core.serialization import ARTIFACT_MAGIC
 from repro.features.definitions import FeatureMode
 
 
@@ -260,7 +261,11 @@ class TestModelRegistry:
         assert manifest.status == "candidate"
         artifact = registry.artifact_path("v0001")
         assert manifest.checksum == hashlib.sha256(artifact.read_bytes()).hexdigest()
-        assert manifest.artifact_version == read_artifact_version(artifact)
+        # The format version is the u16 right after the magic.
+        (header_version,) = struct.unpack_from(
+            "<H", artifact.read_bytes(), len(ARTIFACT_MAGIC)
+        )
+        assert manifest.artifact_version == header_version
 
     def test_promote_retires_previous_active(self, tmp_path, trained_estimator):
         registry = ModelRegistry(tmp_path / "registry")

@@ -224,18 +224,6 @@ class TestTrainServeWorkflow:
         assert "compiled ensemble(s)" in out
         assert "int32" in out and "float64" in out
 
-    def test_models_inspect_v2_artifact_notes_compile_on_load(
-        self, artifact, tmp_path, capsys
-    ):
-        from repro.core.serialization import estimator_to_bytes, load_estimator
-
-        legacy = tmp_path / "legacy_v2.bin"
-        legacy.write_bytes(estimator_to_bytes(load_estimator(artifact), version=2))
-        assert main(["models", "inspect", str(legacy)]) == 0
-        out = capsys.readouterr().out
-        assert "format version: 2" in out
-        assert "compile to" in out and "first predict" in out
-
     def test_estimate_from_artifact_serves_without_retraining(self, artifact, capsys):
         assert main(
             ["estimate", "--model", str(artifact), "--queries", "12", "--show", "3",

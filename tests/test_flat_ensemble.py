@@ -3,9 +3,8 @@
 The flat kernel (:mod:`repro.ml.flat_ensemble`) must reproduce the
 sequential per-tree fold *bitwise* — same routing on NaN/inf features, same
 floating-point accumulation order — across real workloads (TPC-H and the
-cross-schema TPC-DS set) and hand-built edge-case trees, and survive every
-artifact round trip (v1/v2 node records recompile, v3 loads the arrays
-directly, optionally memory-mapped).
+cross-schema TPC-DS set) and hand-built edge-case trees, and survive the
+artifact round trip (the arrays load directly, optionally memory-mapped).
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import EstimationService
-from repro.core.serialization import (
-    estimator_from_bytes,
-    estimator_to_bytes,
-    load_estimator,
-    save_estimator,
-)
+from repro.core.serialization import load_estimator, save_estimator
 from repro.ml.flat_ensemble import FlatForest, compile_mart, compile_transform
 from repro.ml.mart import MARTConfig, MARTRegressor
 from repro.ml.regression_tree import RegressionTree, TreeNode
@@ -229,22 +223,6 @@ class TestCompileRoundTrips:
 
 
 class TestArtifactRoundTrips:
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_legacy_versions_recompile_identically(
-        self, trained_estimator, tpch_test_plans, version
-    ):
-        blob = estimator_to_bytes(trained_estimator, version=version)
-        loaded = estimator_from_bytes(blob)
-        for resource in ("cpu", "io"):
-            assert np.array_equal(
-                loaded.estimate_workload(tpch_test_plans, (resource,)).query_totals(
-                    resource
-                ),
-                trained_estimator.estimate_workload(
-                    tpch_test_plans, (resource,)
-                ).query_totals(resource),
-            )
-
     def test_v3_mmap_load_identical(self, trained_estimator, tpch_test_plans, tmp_path):
         path = tmp_path / "model_v3.bin"
         save_estimator(trained_estimator, path)

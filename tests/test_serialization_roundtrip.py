@@ -10,6 +10,7 @@ instead of silently serving garbage estimates.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -78,6 +79,26 @@ class TestRoundTrip:
         restored = load_estimator(path)
         _assert_bit_identical(trained_estimator, restored, [q.plan for q in test[:4]])
 
+    def test_save_replaces_a_mapped_artifact(self, trained_estimator, workload_split, tmp_path):
+        """Re-saving over a memory-mapped artifact swaps in a new file, so the
+        mapping keeps reading the old bytes instead of a truncated inode."""
+        _, test = workload_split
+        plans = [q.plan for q in test[:4]]
+        path = tmp_path / "model.bin"
+        save_estimator(trained_estimator, path)
+        mapped = load_estimator(path, mmap=True)
+        inode = os.stat(path).st_ino
+        save_estimator(ResourceEstimator(), path)  # a far smaller artifact
+        # Checked before the mapping is read again: rewritten in place, the
+        # mapped pages past the new end of file would raise SIGBUS.
+        assert os.stat(path).st_ino != inode
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        for resource in RESOURCES:
+            assert np.array_equal(
+                mapped.estimate_workload(plans, (resource,)).query_totals(resource),
+                trained_estimator.estimate_workload(plans, (resource,)).query_totals(resource),
+            )
+
     def test_estimator_save_load_methods(self, trained_estimator, workload_split, tmp_path):
         _, test = workload_split
         path = tmp_path / "model.bin"
@@ -130,53 +151,6 @@ class TestRoundTrip:
         assert trained_estimator.family_rates and trained_estimator.scaling_fallbacks
 
 
-class TestVersionCompat:
-    """Version-1/2 artifacts (node records) must keep loading and serving."""
-
-    def test_version1_artifact_loads_with_empty_robustness(self, trained_estimator):
-        restored = estimator_from_bytes(
-            estimator_to_bytes(trained_estimator, version=1)
-        )
-        assert restored.envelopes == {}
-        assert restored.family_rates == {}
-        assert restored.scaling_fallbacks == {}
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_legacy_artifact_serves_identical_estimates(
-        self, trained_estimator, workload_split, version
-    ):
-        _, test = workload_split
-        plans = [q.plan for q in test[:4]]
-        restored = estimator_from_bytes(
-            estimator_to_bytes(trained_estimator, version=version)
-        )
-        for resource in RESOURCES:
-            a = trained_estimator.estimate_workload(plans, (resource,))
-            b = restored.estimate_workload(plans, (resource,))
-            assert np.array_equal(a.query_totals(resource), b.query_totals(resource))
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_legacy_file_round_trip(self, trained_estimator, tmp_path, version):
-        path = tmp_path / f"v{version}.bin"
-        save_estimator(trained_estimator, path, version=version)
-        from repro.core.serialization import read_artifact_version
-
-        assert read_artifact_version(path) == version
-        restored = load_estimator(path)
-        assert set(restored.model_sets) == set(trained_estimator.model_sets)
-
-    def test_unsupported_write_version_rejected(self, trained_estimator):
-        with pytest.raises(ValueError, match="version"):
-            estimator_to_bytes(trained_estimator, version=ARTIFACT_VERSION + 1)
-
-    def test_current_artifact_reports_version3(self, trained_estimator, tmp_path):
-        path = tmp_path / "v3.bin"
-        save_estimator(trained_estimator, path)
-        from repro.core.serialization import read_artifact_version
-
-        assert read_artifact_version(path) == ARTIFACT_VERSION == 3
-
-
 class TestStrictLoading:
     @pytest.fixture(scope="class")
     def artifact(self, trained_estimator) -> bytes:
@@ -188,10 +162,11 @@ class TestStrictLoading:
             estimator_from_bytes(data)
 
     def test_wrong_version_rejected(self, artifact):
-        version = struct.pack("<H", ARTIFACT_VERSION + 1)
-        data = artifact[:8] + version + artifact[10:]
-        with pytest.raises(EstimatorCodecError, match="version"):
-            estimator_from_bytes(data)
+        """The retired node-record layouts (1, 2) fail like a future one."""
+        for version in (1, 2, ARTIFACT_VERSION + 1):
+            data = artifact[:8] + struct.pack("<H", version) + artifact[10:]
+            with pytest.raises(EstimatorCodecError, match="retrain"):
+                estimator_from_bytes(data)
 
     def test_truncated_artifact_rejected(self, artifact):
         for cut in (4, 12, len(artifact) // 2, len(artifact) - 1):
@@ -216,40 +191,6 @@ class TestStrictLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(EstimatorCodecError):
             load_estimator(tmp_path / "does_not_exist.bin")
-
-    def test_crc_valid_but_malformed_tree_rejected(self, trained_estimator):
-        """A structurally broken tree record must fail as a codec error, not
-        an IndexError/RecursionError, even when the checksum is intact."""
-        import json
-
-        from repro.core.serialization import (
-            _FULL_NODE_FORMAT,
-            pack_envelope,
-            unpack_envelope,
-        )
-
-        artifact = estimator_to_bytes(trained_estimator, version=2)
-        _, body_bytes = unpack_envelope(artifact, ARTIFACT_MAGIC, 2, "estimator")
-        body = bytearray(body_bytes)
-        (header_len,) = struct.unpack_from("<I", body, 0)
-        header = json.loads(body[4 : 4 + header_len])
-        payload_start = 4 + header_len
-        # First model's first tree starts after the MART header + ranges.
-        record = header["model_sets"][0]["models"][0]
-        mart_off = payload_start + record["blob_offset"]
-        (_, n_features, _) = struct.unpack_from("<dII", body, mart_off)
-        tree_off = mart_off + struct.calcsize("<dII") + 16 * n_features
-        (n_nodes,) = struct.unpack_from("<I", body, tree_off)
-        feature, _, value = struct.unpack_from(_FULL_NODE_FORMAT, body, tree_off + 4)
-        if feature < 0:  # ensure the root is an internal node we can corrupt
-            pytest.skip("first tree is a stump")
-        # Point the root's right child far past the end of the node list.
-        struct.pack_into(
-            _FULL_NODE_FORMAT, body, tree_off + 4, feature, n_nodes + 7, value
-        )
-        rebuilt = pack_envelope(ARTIFACT_MAGIC, 2, bytes(body))
-        with pytest.raises(EstimatorCodecError):
-            estimator_from_bytes(rebuilt)
 
     def test_crc_valid_but_malformed_flat_arrays_rejected(self, trained_estimator):
         """Version-3 flat arrays get the same strict structural validation:
@@ -283,6 +224,27 @@ class TestStrictLoading:
         struct.pack_into("<i", body, right_off, n_nodes + 7)
         rebuilt = pack_envelope(ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes(body))
         with pytest.raises(EstimatorCodecError, match="flat ensemble"):
+            estimator_from_bytes(rebuilt)
+
+    def test_missing_robustness_section_rejected(self, artifact):
+        """The robustness section is required: a CRC-valid artifact without it
+        is refused instead of loading with empty envelopes."""
+        import json
+
+        from repro.core.serialization import pack_envelope, unpack_envelope
+
+        _, body_bytes = unpack_envelope(
+            artifact, ARTIFACT_MAGIC, ARTIFACT_VERSION, "estimator"
+        )
+        body = bytearray(body_bytes)
+        (header_len,) = struct.unpack_from("<I", body, 0)
+        header = json.loads(body[4 : 4 + header_len])
+        del header["robustness"]
+        stripped = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        # Pad back to the old length so the payload offsets stay valid.
+        body[4 : 4 + header_len] = stripped.ljust(header_len)
+        rebuilt = pack_envelope(ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes(body))
+        with pytest.raises(EstimatorCodecError, match="robustness"):
             estimator_from_bytes(rebuilt)
 
     def test_magic_is_stable(self, artifact):
