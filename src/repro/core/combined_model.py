@@ -12,8 +12,12 @@ selection heuristic compares against at estimation time.
 
 Prediction is matrix-first: :meth:`CombinedModel.predict_batch` evaluates a
 contiguous ``(n, len(feature_names))`` float64 matrix through a single
-vectorised transform + MART pass, and the scalar :meth:`CombinedModel.predict`
-is a one-row wrapper over it, so scalar/batch parity holds by construction.
+vectorised transform + MART pass + :meth:`CombinedModel.finish_batch`, and
+the scalar :meth:`CombinedModel.predict` is a one-row wrapper over it, so
+scalar/batch parity holds by construction.  The estimator's serving path
+gets the transformed rows from model selection and the MART outputs from
+one forest-bank call, and runs only :meth:`CombinedModel.finish_batch`
+per model.
 """
 
 # repro: hot-path — batched estimation code; lint rules R1/R6 apply.
@@ -78,6 +82,11 @@ class CombinedModel:
     def is_default_form(self) -> bool:
         """True when the model uses no scaling at all."""
         return not self.steps
+
+    @property
+    def input_columns(self) -> list[int]:
+        """Raw-matrix column of each input feature of the scaled MART model."""
+        return self._input_columns
 
     @property
     def name(self) -> str:
@@ -179,12 +188,7 @@ class CombinedModel:
         """Estimate the resource for ``n`` operator instances at once.
 
         ``matrix`` holds one row per instance with columns in
-        ``feature_names`` order.  For scaled models the MART output is a
-        *per-unit* quantity (e.g. CPU per input tuple); it is clamped to the
-        per-unit range observed during training, since the magnitude of the
-        estimate is carried by the scaling function and per-unit costs
-        outside the observed range are an artefact of boosting overshoot
-        rather than a meaningful prediction.
+        ``feature_names`` order.
         """
         if self.model_ is None:
             raise RuntimeError(f"{self.name} has not been trained")
@@ -196,10 +200,22 @@ class CombinedModel:
             )
         if matrix.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
-        estimates = self.model_.predict(self.transform_matrix(matrix))
+        return self.finish_batch(matrix, self.model_.predict(self.transform_matrix(matrix)))
+
+    def finish_batch(self, matrix: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+        """Estimates from the scaled MART model's ``outputs`` for raw rows.
+
+        For scaled models the MART output is a *per-unit* quantity (e.g. CPU
+        per input tuple); it is clamped to the per-unit range observed during
+        training, since the magnitude of the estimate is carried by the
+        scaling function and per-unit costs outside the observed range are
+        an artefact of boosting overshoot rather than a meaningful
+        prediction.  The clamped output is multiplied by the scale factors
+        of ``matrix`` and floored at zero.
+        """
         if self.steps:
-            estimates = np.clip(estimates, self.scaled_target_low_, self.scaled_target_high_)
-        return np.maximum(estimates * self.scale_factors(matrix), 0.0)
+            outputs = np.clip(outputs, self.scaled_target_low_, self.scaled_target_high_)
+        return np.maximum(outputs * self.scale_factors(matrix), 0.0)
 
     def predict(self, feature_values: dict[str, float]) -> float:
         """Estimate the resource for one operator instance.

@@ -9,15 +9,24 @@ are extracted into a ``{node_id: OperatorFeatures}`` mapping
 (:meth:`ResourceEstimator.extract_plan_features`); the mappings are grouped
 by operator family into contiguous float64 matrices
 (:func:`~repro.features.extractor.group_by_family`); each
-``(family, resource)`` group runs through one vectorised model-selection +
-MART evaluation; and the results are scattered into one ``{node_id:
-estimate}`` dict per plan whose keys follow the plan's own pre-order.  Model
-evaluation is row-independent and every sum over a plan's operators runs in
-that fixed order, so a plan's per-operator, per-pipeline and per-query
-estimates are the same bits whether it is estimated alone, through the
-scalar methods or inside any batch.  The batched path makes the paper's
-observation that prediction overhead is negligible next to query
-optimisation (Section 7.3) hold for whole workloads, not just single calls.
+``(family, resource)`` group runs one vectorised model selection, which
+also yields every row's transformed input; every selected model of every
+group is then evaluated in *one* ragged kernel call over a
+:class:`~repro.ml.flat_ensemble.ForestBank` holding all candidate forests
+of the estimator; each group finishes (clip, scale, floor) and guards its
+own rows; and the results are scattered into one ``{node_id: estimate}``
+dict per plan whose keys follow the plan's own pre-order.  Model evaluation
+is row-independent and every sum over a plan's operators runs in that fixed
+order, so a plan's per-operator, per-pipeline and per-query estimates are
+the same bits whether it is estimated alone, through the scalar methods or
+inside any batch.  The batched path makes the paper's observation that
+prediction overhead is negligible next to query optimisation (Section 7.3)
+hold for whole workloads, not just single calls.
+
+The bank is derived state: built on first use from the model sets, keyed
+by each set's current selection tables (which it holds, so a recycled
+``id()`` cannot alias), rebuilt when a set or its tables change, published
+with one assignment and never persisted.
 """
 
 # repro: hot-path — batched estimation code; lint rules R1/R6 apply.
@@ -25,12 +34,14 @@ optimisation (Section 7.3) hold for whole workloads, not just single calls.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.model_selection import BatchSelection, SelectionTables
 from repro.core.scaling import fit_robust_scaling
 from repro.core.trainer import (
     FamilyTrainingData,
@@ -58,6 +69,7 @@ from repro.features.extractor import (
     family_matrix,
     group_by_family,
 )
+from repro.ml.flat_ensemble import ForestBank
 from repro.plan.operators import PlanOperator
 from repro.plan.plan import QueryPlan
 
@@ -70,6 +82,46 @@ _LOGGER = logging.getLogger("repro.core.estimator")
 
 #: The resources the library models, as in the paper.
 DEFAULT_RESOURCES: tuple[str, ...] = ("cpu", "io")
+
+#: What a model set's selection or finishing step may raise; with
+#: guardrails the group's rows degrade (``model-error``) instead.
+_MODEL_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+
+#: Serialises bank builds, so concurrent first calls build one bank.
+_BANK_BUILD_LOCK = threading.Lock()
+
+#: Per group: (predictions, tiers or None without guardrails, reasons).
+_Served = tuple[np.ndarray, "np.ndarray | None", dict[int, str]]
+
+
+class _ModelBank:
+    """Every candidate forest of some model sets in one :class:`ForestBank`.
+
+    Bank model ids run set by set: ``base[id(tables)]`` is the id of the
+    first candidate of the set whose selection ran over ``tables``.  The
+    tables are held, so no key is the recycled ``id()`` of a dead object.
+    """
+
+    def __init__(self, tables: Sequence[SelectionTables]) -> None:
+        self.tables = tuple(tables)
+        self.base: dict[int, int] = {}
+        models = []
+        for table in self.tables:
+            self.base[id(table)] = len(models)
+            for candidate in table.candidates:
+                if candidate.model_ is None:
+                    raise RuntimeError(f"{candidate.name} has not been trained")
+                models.append((candidate.model_, candidate.input_columns))
+        self.forests = ForestBank(models)
+
+    def holds(self, tables: Sequence[SelectionTables]) -> bool:
+        return all(id(table) in self.base for table in tables)
+
+    def predict(self, selections: Sequence[BatchSelection]) -> list[np.ndarray]:
+        """Each selected row's raw model output, in one kernel call."""
+        return self.forests.predict(
+            [(s.inputs, self.base[id(s.tables)] + s.indices) for s in selections]
+        )
 
 
 @dataclass
@@ -182,6 +234,12 @@ class ResourceEstimator:
 
     def __post_init__(self) -> None:
         self._extractor = FeatureExtractor(self.feature_mode)
+        self._bank: _ModelBank | None = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_bank"] = None  # derived from the model sets; rebuilt on first use
+        return state
 
     # -- training -----------------------------------------------------------------------------------
     @classmethod
@@ -269,6 +327,7 @@ class ResourceEstimator:
         self.family_rates = trained.family_rates
         self.scaling_fallbacks = trained.scaling_fallbacks
         self._extractor = FeatureExtractor(self.feature_mode)
+        self._bank = None
         return self
 
     # -- persistence ---------------------------------------------------------------------------------
@@ -322,9 +381,10 @@ class ResourceEstimator:
         ``extracted[i]`` is the :meth:`extract_plan_features` result of
         ``plans[i]``.  This is the one batched path: :meth:`estimate_workload`
         and the serving layer's cached extraction both end here.  Operator
-        rows are grouped by family, each ``(family, resource)`` group is
-        evaluated in one call, and plan ``i``'s estimates are keyed in the
-        order of ``extracted[i]`` (the plan's pre-order).
+        rows are grouped by family, every ``(family, resource)`` group is
+        served by :meth:`_serve_groups` (one kernel call for all of them),
+        and plan ``i``'s estimates are keyed in the order of
+        ``extracted[i]`` (the plan's pre-order).
 
         With ``guardrails`` on (the default), rows the MART models cannot
         serve — non-finite features, a raising model, non-finite or negative
@@ -349,29 +409,29 @@ class ResourceEstimator:
             resource: [dict.fromkeys(plan_features, 0.0) for plan_features in extracted]
             for resource in resources
         }
+        groups = [
+            (family, resource, rows.matrix)
+            for resource in resources
+            for family, rows in family_rows.items()
+        ]
         entries: list[DegradedOperator] = []
-        for resource in resources:
-            per_plan = operator_estimates[resource]
-            for family, rows in family_rows.items():
-                if guardrails:
-                    predictions, tiers, reasons = self._predict_family_rows_guarded(
-                        family, rows.matrix, resource
+        for (family, resource, _), (predictions, tiers, reasons) in zip(
+            groups, self._serve_groups(groups, guardrails)
+        ):
+            for row_index, reason in reasons.items():
+                plan_index, node_id = owners[family][row_index]
+                entries.append(
+                    DegradedOperator(
+                        plan_index=plan_index,
+                        node_id=node_id,
+                        resource=resource,
+                        tier=DegradationTier(int(tiers[row_index])),
+                        reason=reason,
                     )
-                    for row_index, reason in reasons.items():
-                        plan_index, node_id = owners[family][row_index]
-                        entries.append(
-                            DegradedOperator(
-                                plan_index=plan_index,
-                                node_id=node_id,
-                                resource=resource,
-                                tier=DegradationTier(int(tiers[row_index])),
-                                reason=reason,
-                            )
-                        )
-                else:
-                    predictions = self._predict_family_rows(family, rows.matrix, resource)
-                for (plan_index, node_id), value in zip(owners[family], predictions):
-                    per_plan[plan_index][node_id] = float(value)
+                )
+            per_plan = operator_estimates[resource]
+            for (plan_index, node_id), value in zip(owners[family], predictions):
+                per_plan[plan_index][node_id] = float(value)
         degradation = None
         if guardrails:
             degradation = DegradationReport(
@@ -402,7 +462,20 @@ class ResourceEstimator:
         resource: str = "cpu",
     ) -> np.ndarray:
         """Batch-estimate already-extracted feature dictionaries of one family."""
-        return self._predict_family_rows(family, family_matrix(family, feature_rows), resource)
+        return self.estimate_family_matrix(family, family_matrix(family, feature_rows), resource)
+
+    def estimate_family_matrix(
+        self, family: OperatorFamily, matrix: np.ndarray, resource: str = "cpu"
+    ) -> np.ndarray:
+        """Batch-estimate raw feature rows of one family (canonical column order).
+
+        Unguarded: what the model set raises propagates, and non-finite or
+        negative model outputs are returned as they are.
+        """
+        self._check_resource(resource)
+        group = (family, resource, np.asarray(matrix, dtype=np.float64))
+        predictions, _, _ = self._serve_groups([group], guardrails=False)[0]
+        return predictions
 
     def extract_plan_features(self, plan: QueryPlan) -> dict[int, OperatorFeatures]:
         """Per-operator feature vectors of a plan, in this estimator's mode.
@@ -456,114 +529,165 @@ class ResourceEstimator:
         return self.estimate_plan(plan, resource)
 
     # -- internals --------------------------------------------------------------------------------------
-    def _predict_family_rows(
-        self, family: OperatorFamily, matrix: np.ndarray, resource: str
-    ) -> np.ndarray:
-        """One batched prediction for rows of one family (canonical column order)."""
-        self._check_resource(resource)
-        matrix = np.asarray(matrix, dtype=np.float64)
-        model_set = self.model_sets.get((family, resource))
-        if model_set is not None:
-            return model_set.predict_batch(matrix)
+    def _serve_groups(
+        self,
+        groups: Sequence[tuple[OperatorFamily, str, np.ndarray]],
+        guardrails: bool,
+    ) -> list[_Served]:
+        """Serve ``(family, resource, raw rows)`` groups through the models.
+
+        The rows each group's model set can serve (with guardrails, its
+        finite rows) go through :meth:`_model_outputs`: selection per group,
+        one kernel call for all of them, finishing per group.  Then each
+        group is guarded (:meth:`_guard_rows`) or, without guardrails,
+        raises what its model set raised.  Groups without a model set are
+        served by the global fallback.
+        """
+        sets = [self.model_sets.get((family, resource)) for family, resource, _ in groups]
+        finite = [
+            np.isfinite(matrix).all(axis=1) if guardrails and model_set is not None else None
+            for (_, _, matrix), model_set in zip(groups, sets)
+        ]
+        outputs = iter(
+            self._model_outputs(
+                [
+                    (model_set, matrix if mask is None or mask.all() else matrix[mask])
+                    for (_, _, matrix), model_set, mask in zip(groups, sets, finite)
+                    if model_set is not None
+                ]
+            )
+        )
+        served: list[_Served] = []
+        for (family, resource, matrix), model_set, mask in zip(groups, sets, finite):
+            if model_set is None:
+                served.append(self._unmodelled_rows(family, resource, matrix, guardrails))
+                continue
+            output = next(outputs)
+            if mask is not None:
+                served.append(self._guard_rows(family, resource, matrix, mask, output))
+            elif isinstance(output, Exception):
+                raise output
+            else:
+                served.append((output, None, {}))
+        return served
+
+    def _model_outputs(
+        self, requests: Sequence[tuple[OperatorModelSet, np.ndarray]]
+    ) -> list[np.ndarray | Exception]:
+        """Model-set estimates for ``(model set, raw rows)`` requests.
+
+        Selects per request, evaluates every selected row in one bank call
+        and finishes per request.  A request whose selection or finishing
+        raises gets the exception in place of its estimates.
+        """
+        selections: list[BatchSelection | Exception] = []
+        for model_set, matrix in requests:
+            try:
+                selections.append(model_set.select_batch(matrix))
+            except _MODEL_ERRORS as exc:
+                selections.append(exc)
+        selected = [s for s in selections if isinstance(s, BatchSelection)]
+        raw = iter(
+            self._model_bank([s.tables for s in selected]).predict(selected) if selected else ()
+        )
+        outputs: list[np.ndarray | Exception] = []
+        for (model_set, matrix), selection in zip(requests, selections):
+            if isinstance(selection, Exception):
+                outputs.append(selection)
+                continue
+            try:
+                outputs.append(model_set.finish_batch(matrix, selection, next(raw)))
+            except _MODEL_ERRORS as exc:
+                outputs.append(exc)
+        return outputs
+
+    def _model_bank(self, tables: Sequence[SelectionTables]) -> _ModelBank:
+        """The published bank if it holds ``tables``, else a new one that does.
+
+        A new bank holds every current model set's tables plus ``tables``
+        (a set replaced while this call ran keeps serving the call that
+        selected with it) and is published with one assignment.
+        """
+        bank = self._bank
+        if bank is not None and bank.holds(tables):
+            return bank
+        with _BANK_BUILD_LOCK:
+            bank = self._bank
+            if bank is not None and bank.holds(tables):
+                return bank
+            current = [model_set.selection_tables() for model_set in list(self.model_sets.values())]
+            held = {id(table) for table in current}
+            bank = _ModelBank([*current, *(t for t in tables if id(t) not in held)])
+            self._bank = bank
+        return bank
+
+    def _unmodelled_rows(
+        self, family: OperatorFamily, resource: str, matrix: np.ndarray, guardrails: bool
+    ) -> _Served:
+        """Rows of a family without a model set: the global fallback serves them.
+
+        With guardrails the rows are recorded as ``no-model-set``
+        (``GLOBAL_DEFAULT``) and non-finite fallback outputs become zero.
+        """
+        n = int(matrix.shape[0])
+        names = features_for_family(family)
         fallback = self.fallbacks.get(resource)
-        if fallback is not None:
-            names = features_for_family(family)
-            return fallback.predict_batch(
+        if fallback is None:
+            predictions = np.zeros(n, dtype=np.float64)
+        else:
+            predictions = fallback.predict_batch(
                 matrix[:, names.index("COUT")], matrix[:, names.index("CIN1")]
             )
-        return np.zeros(matrix.shape[0], dtype=np.float64)
+        if not guardrails:
+            return predictions, None, {}
+        predictions = np.where(np.isfinite(predictions), predictions, 0.0)
+        tiers = np.full(n, int(DegradationTier.GLOBAL_DEFAULT), dtype=np.int64)
+        return predictions, tiers, dict.fromkeys(range(n), "no-model-set")
 
-    def _predict_family_rows_guarded(
-        self, family: OperatorFamily, matrix: np.ndarray, resource: str
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """Guarded batched prediction: rows the model cannot serve degrade.
+    def _guard_rows(
+        self,
+        family: OperatorFamily,
+        resource: str,
+        matrix: np.ndarray,
+        finite: np.ndarray,
+        output: np.ndarray | Exception,
+    ) -> _Served:
+        """Guard one group: rows its model set could not serve degrade.
 
-        Returns ``(predictions, tiers, reasons)`` where ``tiers[i]`` is the
+        ``finite`` marks the rows that went to the model set and ``output``
+        is their estimates, or what the set raised.  Returns
+        ``(predictions, tiers, reasons)``: ``tiers[i]`` is the
         :class:`~repro.robustness.degradation.DegradationTier` that served
-        row ``i`` and ``reasons`` maps exactly the degraded row indices to
-        why they left the model tier.  On clean inputs with a trained model
-        set this returns the model's batch output unchanged (bit-identical
-        to :meth:`_predict_family_rows`).
+        row ``i`` and ``reasons`` maps exactly the degraded rows to why
+        they left the model tier, non-finite rows first.  Valid output for
+        a group without non-finite rows is returned unchanged
+        (bit-identical to the unguarded path).
         """
-        self._check_resource(resource)
-        matrix = np.asarray(matrix, dtype=np.float64)
         n = int(matrix.shape[0])
         tiers = np.full(n, int(DegradationTier.MODEL), dtype=np.int64)
-        reasons: dict[int, str] = {}
-        model_set = self.model_sets.get((family, resource))
-
-        if model_set is None:
-            # Parity with the ungated path: families without a trained model
-            # set are served by the global fallback, recorded as such.
-            names = features_for_family(family)
-            cout = matrix[:, names.index("COUT")]
-            cin1 = matrix[:, names.index("CIN1")]
-            fallback = self.fallbacks.get(resource)
-            if fallback is not None:
-                raw = fallback.predict_batch(cout, cin1)
-                predictions = np.where(np.isfinite(raw), raw, 0.0)
-            else:
-                predictions = np.zeros(n, dtype=np.float64)
-            tiers[:] = int(DegradationTier.GLOBAL_DEFAULT)
-            for row_index in range(n):
-                reasons[row_index] = "no-model-set"
-            return predictions, tiers, reasons
-
-        if np.isfinite(matrix).all():
-            # Common case: every row is model-servable.  Keep this branch to
-            # scalar checks only — on valid output it returns the model's
-            # batch result unchanged (bit-identical to the ungated path).
-            try:
-                out = np.asarray(model_set.predict_batch(matrix), dtype=np.float64)
-            except (ValueError, ArithmeticError, RuntimeError) as exc:
+        model_rows = np.flatnonzero(finite)
+        if isinstance(output, Exception):
+            if model_rows.size:
                 _LOGGER.warning(
                     "model set %s/%s raised during batch prediction; degrading "
                     "%d row(s): %s",
                     family.value,
                     resource,
-                    n,
-                    exc,
+                    int(model_rows.size),
+                    output,
                 )
-                predictions = np.zeros(n, dtype=np.float64)
-                for row_index in range(n):
-                    reasons[row_index] = "model-error"
-            else:
-                finite_out = np.isfinite(out)
-                if finite_out.all() and (out >= 0.0).all():
-                    return out, tiers, reasons
-                invalid = ~finite_out | (out < 0.0)
-                predictions = np.where(invalid, 0.0, out)
-                for row_index in np.flatnonzero(invalid):
-                    reasons[int(row_index)] = "invalid-prediction"
-        else:
             predictions = np.zeros(n, dtype=np.float64)
-            finite_rows = np.isfinite(matrix).all(axis=1)
-            for row_index in np.flatnonzero(~finite_rows):
-                reasons[int(row_index)] = "non-finite-features"
-            model_rows = np.flatnonzero(finite_rows)
-            if model_rows.size:
-                try:
-                    out = np.asarray(
-                        model_set.predict_batch(matrix[model_rows]), dtype=np.float64
-                    )
-                except (ValueError, ArithmeticError, RuntimeError) as exc:
-                    _LOGGER.warning(
-                        "model set %s/%s raised during batch prediction; degrading "
-                        "%d row(s): %s",
-                        family.value,
-                        resource,
-                        int(model_rows.size),
-                        exc,
-                    )
-                    for row_index in model_rows:
-                        reasons[int(row_index)] = "model-error"
-                else:
-                    invalid = ~np.isfinite(out) | (out < 0.0)
-                    valid = ~invalid
-                    predictions[model_rows[valid]] = out[valid]
-                    for row_index in model_rows[invalid]:
-                        reasons[int(row_index)] = "invalid-prediction"
-
+            failed, reason = model_rows, "model-error"
+        else:
+            output = np.asarray(output, dtype=np.float64)
+            invalid = ~np.isfinite(output) | (output < 0.0)
+            if model_rows.size == n and not invalid.any():
+                return output, tiers, {}
+            predictions = np.zeros(n, dtype=np.float64)
+            predictions[model_rows[~invalid]] = output[~invalid]
+            failed, reason = model_rows[invalid], "invalid-prediction"
+        reasons = dict.fromkeys(np.flatnonzero(~finite).tolist(), "non-finite-features")
+        reasons.update(dict.fromkeys(failed.tolist(), reason))
         degraded = np.asarray(sorted(reasons), dtype=np.int64)
         if degraded.size:
             names = features_for_family(family)

@@ -28,8 +28,12 @@ computes every out_ratio with the operations of
 order (columns that are not a candidate's inputs are padded with ``_PAD``,
 which sorts below every real out_ratio), and picks each row's model with one
 stable ``np.lexsort`` over the keys (max out_ratio, #scaling features,
-out_ratio tail).  The working copy is processed in row blocks of at most
-``_CELL_BUDGET`` cells, so a large offline batch cannot balloon memory.
+out_ratio tail).  Each row's slice of the working copy for its chosen
+candidate is that candidate's transformed input, the rows
+:meth:`CombinedModel.transform_matrix` would compute, so serving feeds it
+straight to the model kernel.  The working copy is processed in row blocks
+of at most ``_CELL_BUDGET`` cells, so a large offline batch cannot balloon
+memory.
 
 NaN keys rank last, as ``np.lexsort`` orders them: a candidate whose key has
 a NaN in some column loses to every candidate whose keys agree with it
@@ -89,6 +93,12 @@ class BatchSelection:
     max_out_ratios: np.ndarray
     #: Whether each row fell back to the default model.
     used_default: np.ndarray
+    #: Each row after its chosen candidate's scaling transform, in the raw
+    #: column order: the candidate's input columns of it are that row of
+    #: :meth:`CombinedModel.transform_matrix`, bit for bit.
+    inputs: np.ndarray
+    #: The tables the selection ran over (``candidates`` is their list).
+    tables: "SelectionTables"
 
     def model_for(self, row: int) -> CombinedModel:
         return self.candidates[int(self.indices[row])]
@@ -208,25 +218,31 @@ class SelectionTables:
         n = matrix.shape[0]
         block = max(1, _CELL_BUDGET // (len(self.candidates) * self.n_features))
         if n <= block:
-            indices, max_ratios, in_range = self._select_block(matrix)
+            indices, max_ratios, in_range, inputs = self._select_block(matrix)
         else:
             indices = np.empty(n, dtype=np.intp)
             max_ratios = np.empty(n, dtype=np.float64)
             in_range = np.empty(n, dtype=bool)
+            inputs = np.empty((n, self.n_features), dtype=np.float64)
             for start in range(0, n, block):
                 rows = slice(start, start + block)
-                indices[rows], max_ratios[rows], in_range[rows] = self._select_block(
-                    matrix[rows]
-                )
+                (
+                    indices[rows], max_ratios[rows], in_range[rows], inputs[rows]
+                ) = self._select_block(matrix[rows])
         return BatchSelection(
             candidates=list(self.candidates),
             indices=indices.astype(np.int64, copy=False),
             max_out_ratios=max_ratios,
             used_default=in_range | (indices == self.default_index),
+            inputs=inputs,
+            tables=self,
         )
 
-    def _select_block(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(chosen index, its max out_ratio, rule-1 mask) for one row block."""
+    def _select_block(
+        self, matrix: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(chosen index, its max out_ratio, rule-1 mask, chosen transformed
+        row) for one row block."""
         n = matrix.shape[0]
         n_candidates = len(self.candidates)
         work = np.repeat(matrix[:, np.newaxis, :], n_candidates, axis=1)
@@ -251,9 +267,9 @@ class SelectionTables:
         # and the row, so each row's candidates sort together.
         keys = np.empty((_N_KEYS + 1, n, n_candidates), dtype=np.float64)
         keys[: _PROFILE_TAIL - tail] = _PAD
-        keys[_PROFILE_TAIL - tail : _PROFILE_TAIL] = np.moveaxis(
-            ratios[:, :, n_features - 1 - tail : n_features - 1], 2, 0
-        )
+        keys[_PROFILE_TAIL - tail : _PROFILE_TAIL] = ratios[
+            :, :, n_features - 1 - tail : n_features - 1
+        ].transpose(2, 0, 1)
         keys[_PROFILE_TAIL] = self._n_scaling
         max_ratios = np.where(self._has_inputs, ratios[:, :, n_features - 1], 0.0)
         keys[_PROFILE_TAIL + 1] = max_ratios
@@ -268,7 +284,7 @@ class SelectionTables:
         in_range = max_ratios[:, self.default_index] <= 0.0
         chosen[in_range] = self.default_index
         chosen_max[in_range] = 0.0
-        return chosen, chosen_max, in_range
+        return chosen, chosen_max, in_range, work[rows, chosen]
 
 
 class ModelSelector:

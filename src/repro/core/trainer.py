@@ -121,12 +121,33 @@ class OperatorModelSet:
         """Vectorised model selection for every row of a raw feature matrix."""
         return self.selection_tables().select(matrix)
 
+    def finish_batch(
+        self, matrix: np.ndarray, selection: BatchSelection, outputs: np.ndarray
+    ) -> np.ndarray:
+        """Estimates for the rows of ``matrix`` from their models' raw outputs.
+
+        ``selection`` is :meth:`select_batch` of ``matrix`` and ``outputs[i]``
+        the MART output of row ``i``'s chosen candidate on
+        ``selection.inputs[i]``; each chosen candidate clips and scales its
+        own rows (:meth:`CombinedModel.finish_batch`).
+        """
+        estimates = np.zeros(matrix.shape[0], dtype=np.float64)
+        for index in np.unique(selection.indices):
+            mask = selection.indices == index
+            estimates[mask] = selection.candidates[index].finish_batch(
+                matrix[mask], outputs[mask]
+            )
+        return estimates
+
     def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Estimate the resource for every row of a raw feature matrix.
 
         Selects a model per row in one vectorised pass, then runs one MART
         evaluation per *chosen model* over the contiguous sub-matrix of the
-        rows it won, scattering results back into row order.
+        rows it won, scattering results back into row order.  The estimator
+        serves through :meth:`select_batch`, a forest bank and
+        :meth:`finish_batch` instead; this per-model path is the reference
+        its results are tested against.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         selection = self.select_batch(matrix)

@@ -26,14 +26,31 @@ levels (possible only for hand-built or adversarial trees; the paper's
 10-leaf trees are far shallower) fall back to a generic ``np.where`` descent
 over active row cursors on the SoA arrays.
 
+Forest bank
+-----------
+The heap kernel pays a fixed cost per call (one route per depth bucket), so
+serving many models on a few rows each is dominated by that cost.  A
+:class:`ForestBank` instead concatenates the SoA arrays of many MART
+forests, remaps each forest's feature ids into the column order of the rows
+it will see, and evaluates rows of *different* models in one ragged call:
+every cell is one row paired with one tree of that row's own model, every
+cell descends the same number of levels (the depth of the deepest tree in
+the call; leaves route to themselves) through one swapped-layout child
+array ``child[2*pos + (x <= thr)]``, and each row's fold is read at its own
+tree count.  The estimator serves every selected model of a batch through
+one bank call; single-model prediction (:meth:`MARTRegressor.predict`,
+training, the baselines) keeps the heap kernel, which wins once a model
+sees more than a handful of rows.
+
 Numerical identity
 ------------------
-The kernel is bit-identical to the sequential per-tree fold
+Both kernels are bit-identical to the sequential per-tree fold
 ``out = init; out += rate * tree.predict(X)``: per-tree leaf values are
 gathered exactly, the learning-rate multiply is the same elementwise IEEE
 operation, and the fold is reproduced with ``np.cumsum`` along axis 1, which
-numpy evaluates sequentially (pairwise summation would break identity).
-Per-leaf linear refinements of
+numpy evaluates sequentially (pairwise summation would break identity); the
+bank pads each row's fold with zeros past its own tree count.  Per-leaf
+linear refinements of
 :class:`~repro.ml.transform_regression.TransformRegressor` compile into
 bottom-row slope/intercept tables; ``slope * x + intercept`` matches the
 ``(m, 1) @ (1,)`` matmul of the node-walking path bitwise.
@@ -57,6 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "FlatForest",
     "FlatLayoutStats",
+    "ForestBank",
     "compile_mart",
     "compile_transform",
 ]
@@ -66,8 +84,9 @@ __all__ = [
 #: ``np.where`` descent instead.
 _MAX_HEAP_DEPTH = 12
 
-#: Upper bound on ``rows x trees`` cursor cells processed per block, keeping
-#: the descent working set cache-resident for very large row batches.
+#: Upper bound on ``rows x trees`` cursor cells processed per block (by a
+#: forest, or by a bank at its widest model's tree count), keeping the
+#: descent working set bounded for very large row batches.
 _CELL_BUDGET = 1 << 21
 
 #: ``(leaf feature id, slope, intercept)`` of one leaf's linear refinement.
@@ -655,6 +674,159 @@ class FlatForest:
             array_bytes=int(sum(arr.nbytes for arr in arrays)),
             dtype_summary="feature/children int32, thresholds/values float64, roots int64",
         )
+
+
+class ForestBank:
+    """Many MART forests in one node array, evaluated in one ragged call.
+
+    ``models`` pairs each fitted :class:`~repro.ml.mart.MARTRegressor` with
+    the columns its inputs come from: feature ``j`` of the model is column
+    ``columns[j]`` of the rows it is given.  A model's id is its position in
+    ``models``.  Forests with per-leaf linear models are refused.  Each
+    model's ``initial_prediction_`` and learning rate are read at call time,
+    as :meth:`MARTRegressor.predict` reads them.
+    """
+
+    def __init__(self, models: Sequence[tuple["MARTRegressor", Sequence[int]]]) -> None:
+        self.models: tuple["MARTRegressor", ...] = tuple(model for model, _ in models)
+        self.columns: tuple[np.ndarray, ...] = tuple(
+            np.asarray(columns, dtype=np.intp) for _, columns in models
+        )
+        features: list[np.ndarray] = []
+        thresholds: list[np.ndarray] = []
+        children: list[np.ndarray] = []
+        leaf_values: list[np.ndarray] = []
+        roots: list[np.ndarray] = []
+        n_trees: list[int] = []
+        depths: list[int] = []
+        n_nodes = 0
+        for model, columns in zip(self.models, self.columns):
+            forest = model.flat_forest()
+            if forest.has_leaf_models:
+                raise ValueError("forest bank: forests with leaf models are not supported")
+            if forest.n_features != columns.shape[0]:
+                raise ValueError(
+                    f"forest bank: a forest over {forest.n_features} features was given "
+                    f"{columns.shape[0]} columns"
+                )
+            internal = forest.feature_id >= 0
+            feature = np.zeros(forest.n_nodes, dtype=np.intp)
+            feature[internal] = columns[forest.feature_id[internal]]
+            # Swapped layout: ``x <= thr`` picks slot 1, the LEFT child, and
+            # NaN picks slot 0, the RIGHT one; a leaf's slots hold the leaf.
+            own = np.arange(n_nodes, n_nodes + forest.n_nodes, dtype=np.intp)
+            child = np.empty((forest.n_nodes, 2), dtype=np.intp)
+            child[:, 0] = np.where(internal, forest.right.astype(np.intp) + n_nodes, own)
+            child[:, 1] = np.where(internal, forest.left.astype(np.intp) + n_nodes, own)
+            features.append(feature)
+            thresholds.append(forest.threshold)
+            children.append(child.ravel())
+            leaf_values.append(forest.leaf_value)
+            roots.append(forest.tree_roots.astype(np.intp) + n_nodes)
+            tree_depths = forest._tree_depths()
+            n_trees.append(forest.n_trees)
+            depths.append(int(tree_depths.max()) if tree_depths.size else 0)
+            n_nodes += forest.n_nodes
+        self._feature = _joined(features, np.intp)
+        self._threshold = _joined(thresholds, np.float64)
+        self._child = _joined(children, np.intp)
+        self._leaf_value = _joined(leaf_values, np.float64)
+        self._roots = _joined(roots, np.intp)
+        self._n_trees = np.asarray(n_trees, dtype=np.intp)
+        self._tree_start = np.cumsum(self._n_trees) - self._n_trees
+        self._depth = np.asarray(depths, dtype=np.intp)
+
+    def predict(self, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+        """Each row's ensemble output under its own model, for every block.
+
+        A block is ``(rows, model_ids)``: an ``(n, width)`` matrix and the
+        bank model id of each row; blocks may differ in width.  Returns one
+        array per block.  Row ``i`` of a block equals
+        ``models[m].predict(rows[i:i + 1, columns[m]])`` for its id ``m``,
+        bit for bit.
+        """
+        if not blocks:
+            return []
+        matrices = [np.ascontiguousarray(rows, dtype=np.float64) for rows, _ in blocks]
+        offsets: list[np.ndarray] = []
+        start = 0
+        for matrix in matrices:
+            offsets.append(start + np.arange(matrix.shape[0], dtype=np.intp) * matrix.shape[1])
+            start += matrix.size
+        # Every row's features in one flat buffer, row ``r`` from offsets[r];
+        # the trailing pad keeps a leaf's column-0 read in bounds.
+        values = np.concatenate([*(matrix.ravel() for matrix in matrices),
+                                 np.zeros(1, dtype=np.float64)])
+        ids = _joined([np.asarray(ids, dtype=np.intp) for _, ids in blocks], np.intp)
+        out = self._predict_rows(values, _joined(offsets, np.intp), ids)
+        bounds = np.cumsum([0, *(matrix.shape[0] for matrix in matrices)]).tolist()
+        return [out[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
+
+    def _predict_rows(self, values: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        n_rows = int(ids.shape[0])
+        out = np.empty(n_rows, dtype=np.float64)
+        if not n_rows:
+            return out
+        used, inverse = np.unique(ids, return_inverse=True)
+        models = [self.models[index] for index in used.tolist()]
+        init = np.array([model.initial_prediction_ for model in models], dtype=np.float64)
+        rate = np.array([model.config.learning_rate for model in models], dtype=np.float64)
+        depth = int(self._depth[used].max())
+        block = max(_CELL_BUDGET // (int(self._n_trees[used].max()) + 1), 1)
+        for start in range(0, n_rows, block):
+            rows = slice(start, start + block)
+            out[rows] = self._fold(
+                values, offsets[rows], ids[rows], init[inverse[rows]], rate[inverse[rows]], depth
+            )
+        return out
+
+    def _fold(
+        self,
+        values: np.ndarray,
+        offsets: np.ndarray,
+        ids: np.ndarray,
+        init: np.ndarray,
+        rate: np.ndarray,
+        depth: int,
+    ) -> np.ndarray:
+        """``init + sum(rate * leaf)`` per row, folded tree by tree."""
+        n_rows = int(ids.shape[0])
+        counts = self._n_trees[ids]
+        n_cells = int(counts.sum())
+        # Row r's fold in row r: init, its trees' terms, then zero padding
+        # past its own tree count; the cumsum is read at that count.
+        folded = np.zeros((n_rows, int(counts.max()) + 1), dtype=np.float64)
+        folded[:, 0] = init
+        if n_cells:
+            cell_row = np.repeat(np.arange(n_rows, dtype=np.intp), counts)
+            rank = np.arange(n_cells, dtype=np.intp) - np.repeat(np.cumsum(counts) - counts, counts)
+            pos = self._roots[self._tree_start[ids][cell_row] + rank]
+            row_base = offsets[cell_row]
+            gather = np.empty(n_cells, dtype=np.intp)
+            feature_value = np.empty(n_cells, dtype=np.float64)
+            threshold = np.empty(n_cells, dtype=np.float64)
+            go_left = np.empty(n_cells, dtype=np.bool_)
+            for _ in range(depth):
+                np.take(self._feature, pos, out=gather, mode="clip")
+                gather += row_base
+                np.take(values, gather, out=feature_value, mode="clip")
+                np.take(self._threshold, pos, out=threshold, mode="clip")
+                np.less_equal(feature_value, threshold, out=go_left)
+                np.left_shift(pos, 1, out=gather)
+                gather += go_left
+                np.take(self._child, gather, out=pos, mode="clip")
+            leaf = np.take(self._leaf_value, pos, out=feature_value, mode="clip")
+            leaf *= rate[cell_row]
+            folded[cell_row, rank + 1] = leaf
+        np.cumsum(folded, axis=1, out=folded)
+        return folded[np.arange(n_rows, dtype=np.intp), counts]
+
+
+def _joined(parts: Sequence[np.ndarray], dtype: type) -> np.ndarray:
+    """``np.concatenate`` of ``parts`` as ``dtype``; empty when there are none."""
+    if not parts:
+        return np.zeros(0, dtype=dtype)
+    return np.concatenate(parts).astype(dtype, copy=False)
 
 
 def compile_mart(model: "MARTRegressor") -> FlatForest:

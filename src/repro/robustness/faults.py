@@ -8,7 +8,8 @@ failure classes the serving guardrails defend against:
   (all CRC-/version-detectable by the codec);
 * **feature corruption** — NaN/inf values planted in extracted features;
 * **model faults** — shims that make a trained model set raise, return NaN
-  or return negatives, driving the degradation ladder;
+  or return negatives in its finishing step, after selection and the
+  kernel ran as usual, driving the degradation ladder;
 * **plausible-but-broken artifacts** — CRC-valid artifacts whose models
   predict garbage, catchable only by the canary checks.
 """
@@ -23,6 +24,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.model_selection import BatchSelection
+from repro.core.trainer import OperatorModelSet
 from repro.data.rng import make_rng
 from repro.features.definitions import OperatorFamily
 
@@ -52,21 +55,28 @@ class TransientReader:
         return Path(path).read_bytes()
 
 
-class _BrokenModelSet:
-    """Shim standing in for a trained model set; fails in a chosen mode."""
+@dataclass
+class _BrokenModelSet(OperatorModelSet):
+    """A trained model set whose finishing step fails in a chosen mode.
 
-    def __init__(self, mode: str) -> None:
-        if mode not in ("raise", "nan", "negative"):
-            raise ValueError(f"unknown poison mode {mode!r}")
-        self.mode = mode
+    Selection and the kernel serve its rows as usual; ``finish_batch`` then
+    raises (``"raise"``) or returns NaN (``"nan"``) or negative
+    (``"negative"``) estimates.
+    """
 
-    def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
-        n = int(np.asarray(matrix).shape[0])
+    mode: str = "raise"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("raise", "nan", "negative"):
+            raise ValueError(f"unknown poison mode {self.mode!r}")
+
+    def finish_batch(
+        self, matrix: np.ndarray, selection: BatchSelection, outputs: np.ndarray
+    ) -> np.ndarray:
         if self.mode == "raise":
             raise RuntimeError("injected model fault")
-        if self.mode == "nan":
-            return np.full(n, np.nan, dtype=np.float64)
-        return np.full(n, -1.0, dtype=np.float64)
+        value = np.nan if self.mode == "nan" else -1.0
+        return np.full(int(np.asarray(matrix).shape[0]), value, dtype=np.float64)
 
 
 @dataclass
@@ -227,7 +237,14 @@ class FaultInjector:
         key = (family, resource)
         if key not in poisoned.model_sets:
             raise KeyError(f"no model set for {family.value}/{resource}")
-        poisoned.model_sets[key] = _BrokenModelSet(mode)  # type: ignore[assignment]
+        model_set = poisoned.model_sets[key]
+        poisoned.model_sets[key] = _BrokenModelSet(
+            family=model_set.family,
+            resource=model_set.resource,
+            models=model_set.models,
+            default_model=model_set.default_model,
+            mode=mode,
+        )
         return poisoned
 
     # -- IO faults ----------------------------------------------------------------------

@@ -187,7 +187,10 @@ def run_canary_checks(
 ) -> CanaryReport:
     """Probe every model set of an estimator with canary predictions.
 
-    A probe fails when a prediction is non-finite, negative, or exceeds
+    Probes go through the estimator's serving path without guardrails
+    (:meth:`~repro.core.estimator.ResourceEstimator.estimate_family_matrix`),
+    so non-finite and negative outputs surface, and the first probe builds
+    the estimator's forest bank before it serves any request.  A probe fails when a prediction is non-finite, negative, or exceeds
     ``margin`` times the recorded per-tuple rate at the canary cardinality
     (the bound is skipped when no rate was recorded, e.g. for artifacts
     written before rates existed).  Global fallback rates are checked for
@@ -198,8 +201,8 @@ def run_canary_checks(
 
     failures: list[CanaryFailure] = []
     n_predictions = 0
-    for (family, resource), model_set in sorted(
-        estimator.model_sets.items(), key=lambda item: (item[0][0].value, item[0][1])
+    for family, resource in sorted(
+        estimator.model_sets, key=lambda key: (key[0].value, key[1])
     ):
         matrix = _canary_matrix(estimator, family)
         names = features_for_family(family)
@@ -207,9 +210,7 @@ def run_canary_checks(
             matrix[:, names.index("COUT")], matrix[:, names.index("CIN1")]
         )
         try:
-            predictions = np.asarray(
-                model_set.predict_batch(matrix), dtype=np.float64
-            )
+            predictions = estimator.estimate_family_matrix(family, matrix, resource)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             failures.append(
                 CanaryFailure(family, resource, f"canary prediction raised: {exc}")

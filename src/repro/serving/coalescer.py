@@ -4,8 +4,9 @@ The paper's deployment argument (Section 7.3) prices a *resident* model at
 microseconds per prediction — but that number is only reachable when many
 concurrent callers share one vectorised evaluation.  A single
 ``estimate_query`` call pays the full per-call overhead (grouping, matrix
-build, one kernel launch per family) for one plan; the batched
-``estimate_workload`` path amortises that overhead over hundreds of rows.
+build, one model selection per family and resource, one forest-bank kernel
+call) for one plan; the batched ``estimate_workload`` path amortises that
+overhead over hundreds of rows.
 
 :class:`ConcurrentEstimationService` closes that gap for concurrent
 traffic: callers submit requests into a thread-safe queue, a single worker

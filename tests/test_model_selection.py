@@ -336,6 +336,64 @@ class TestNaNRanksLast:
         assert not selection.used_default[0]
 
 
+# -- each row's transformed input ------------------------------------------------------
+
+
+def assert_inputs_match(selection, matrix):
+    """Each row's input columns equal its chosen candidate's transform_matrix row."""
+    assert selection.inputs.shape == matrix.shape
+    assert selection.inputs.dtype == np.float64
+    for index in np.unique(selection.indices):
+        rows = selection.indices == index
+        candidate = selection.candidates[index]
+        expected = candidate.transform_matrix(matrix[rows])
+        assert selection.inputs[rows][:, candidate.input_columns].tobytes() == expected.tobytes()
+
+
+class TestTransformedInputs:
+    @pytest.mark.parametrize("estimator_name", ["trained_estimator", "tpcds_estimator"])
+    def test_trained_sets_on_plan_rows(self, request, estimator_name, served_plans):
+        estimator = request.getfixturevalue(estimator_name)
+        family_rows = estimator._extractor.extract_plans(served_plans)
+        chosen = 0
+        for seed, ((family, _), model_set) in enumerate(
+            sorted(estimator.model_sets.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
+        ):
+            if family not in family_rows:
+                continue
+            matrix = _out_of_range(family_rows[family].matrix, seed)
+            selection = model_set.select_batch(matrix)
+            assert_inputs_match(selection, matrix)
+            chosen += len(np.unique(selection.indices))
+        assert chosen > 20
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_sets(self, name):
+        default, models = _hand_built(name)
+        matrix = _probe()
+        assert_inputs_match(ModelSelector().select_batch(default, models, matrix), matrix)
+
+    @pytest.mark.parametrize("budget", [1, 100, 1000])
+    def test_tiny_cell_budget(self, monkeypatch, budget):
+        default, models = _hand_built("repeated-step-feature")
+        matrix = _probe(n=97)
+        whole = ModelSelector().select_batch(default, models, matrix)
+        monkeypatch.setattr(model_selection, "_CELL_BUDGET", budget)
+        blocked = ModelSelector().select_batch(default, models, matrix)
+        assert blocked.inputs.tobytes() == whole.inputs.tobytes()
+        assert_inputs_match(blocked, matrix)
+
+    def test_non_finite_rows(self):
+        default, models = _hand_built("dependent-pair")
+        rng = np.random.default_rng(13)
+        matrix = _probe(n=120, seed=6)
+        matrix[rng.random(matrix.shape) < 0.08] = np.nan
+        matrix[rng.random(matrix.shape) < 0.02] = np.inf
+        matrix[rng.random(matrix.shape) < 0.02] = -np.inf
+        with np.errstate(all="ignore"):
+            assert_inputs_match(ModelSelector().select_batch(default, models, matrix), matrix)
+
+
 # -- the model set's cached tables -----------------------------------------------------
 
 
