@@ -521,6 +521,11 @@ def _resources_from_arg(resource: str) -> tuple[str, ...]:
 
 def _run_train(args: argparse.Namespace) -> int:
     """Fit a SCALING estimator and persist it as a versioned artifact."""
+    try:
+        _check_training_sizes(("--queries", args.queries), ("--iterations", args.iterations))
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = get_config(args.profile)
     resources = _resources_from_arg(args.resource)
 
@@ -543,6 +548,13 @@ def _run_train(args: argparse.Namespace) -> int:
         iterations=args.iterations,
     )
     train_seconds = time.perf_counter() - started
+    if not estimator.model_sets:
+        print(
+            f"error: training on --queries {args.queries} yielded no model set; "
+            "nothing written (train on more queries)",
+            file=sys.stderr,
+        )
+        return 2
 
     try:
         estimator.save(args.out)
@@ -565,6 +577,13 @@ def _run_train(args: argparse.Namespace) -> int:
 
 class _UsageError(Exception):
     """A request the CLI cannot serve as asked (exit code 2, not a data error)."""
+
+
+def _check_training_sizes(*flags: tuple[str, int | None]) -> None:
+    """Reject a training-size flag below 1 (``None`` means unset)."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            raise _UsageError(f"{flag} must be at least 1, got {value}")
 
 
 def _load_native_estimator(path: Path) -> ResourceEstimator:
@@ -590,6 +609,9 @@ def _load_native_estimator(path: Path) -> ResourceEstimator:
 
 def _serving_service(args: argparse.Namespace, config, resources) -> tuple[EstimationService, tuple[str, ...], str]:
     """Build the serving session: from an artifact, or train in memory."""
+    _check_training_sizes(
+        ("--train-queries", args.train_queries), ("--iterations", args.iterations)
+    )
     if args.model is not None:
         service = EstimationService(_load_native_estimator(args.model))
         available = service.resources
@@ -831,6 +853,9 @@ def _run_adapt_bench(args: argparse.Namespace) -> int:
     from repro.adaptive.bench import run_adapt_bench
 
     try:
+        _check_training_sizes(
+            ("--train-queries", args.train_queries), ("--iterations", args.iterations)
+        )
         record = run_adapt_bench(
             out_path=args.out,
             registry_root=args.registry,
@@ -845,7 +870,7 @@ def _run_adapt_bench(args: argparse.Namespace) -> int:
             max_batch_size=args.max_batch_size,
             max_wait_ms=args.max_wait_ms,
         )
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     phases = record["phases"]

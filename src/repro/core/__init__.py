@@ -5,8 +5,8 @@ asymptotic *scaling functions* (robust out-of-distribution):
 
 * :mod:`repro.core.scaling` — the scaling-function library and the
   empirical selection framework of Section 6.2;
-* :mod:`repro.core.scaled_model` — the training-data transformation that
-  turns a default model into a scaled model (Section 6.1);
+* :mod:`repro.core.scaled_model` — the scaling steps that turn a default
+  model into a scaled model (Section 6.1);
 * :mod:`repro.core.combined_model` — scaling function ∘ scaled MART model;
 * :mod:`repro.core.model_selection` — the online ``out_ratio`` heuristic of
   Section 6.3;
@@ -20,7 +20,7 @@ asymptotic *scaling functions* (robust out-of-distribution):
 
 from repro.core.combined_model import CombinedModel
 from repro.core.estimator import ResourceEstimator, WorkloadEstimate
-from repro.core.model_selection import BatchSelection, ModelSelector
+from repro.core.model_selection import BatchSelection
 from repro.core.scaling import (
     SCALING_FUNCTIONS,
     ScalingFunction,
@@ -43,7 +43,6 @@ __all__ = [
     "ResourceEstimator",
     "WorkloadEstimate",
     "BatchSelection",
-    "ModelSelector",
     "SCALING_FUNCTIONS",
     "ScalingFunction",
     "ScalingFunctionSelector",

@@ -10,14 +10,10 @@ Every model records the training range (low/high) of each of its *own* input
 features — in its own transformed space — which is what the out_ratio model
 selection heuristic compares against at estimation time.
 
-Prediction is matrix-first: :meth:`CombinedModel.predict_batch` evaluates a
-contiguous ``(n, len(feature_names))`` float64 matrix through a single
-vectorised transform + MART pass + :meth:`CombinedModel.finish_batch`, and
-the scalar :meth:`CombinedModel.predict` is a one-row wrapper over it, so
-scalar/batch parity holds by construction.  The estimator's serving path
-gets the transformed rows from model selection and the MART outputs from
-one forest-bank call, and runs only :meth:`CombinedModel.finish_batch`
-per model.
+At estimation time the estimator gets each row's transformed input (the
+row of :meth:`CombinedModel.transform_matrix`) from model selection and the
+MART outputs from one forest-bank call; each chosen model then clips and
+scales its own rows (:meth:`CombinedModel.finish_batch`).
 """
 
 # repro: hot-path — batched estimation code; lint rules R1/R6 apply.
@@ -65,7 +61,7 @@ class CombinedModel:
         self.training_error_: float = float("inf")
         self.n_training_rows_: int = 0
         #: Range of the (scaled) training targets; scaled-model outputs are
-        #: clamped to it at prediction time (see ``predict``).
+        #: clamped to it at prediction time (see ``finish_batch``).
         self.scaled_target_low_: float = 0.0
         self.scaled_target_high_: float = float("inf")
 
@@ -106,11 +102,11 @@ class CombinedModel:
     def transform_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Vectorised scaling transform of a raw feature matrix.
 
-        Applies the same sequential steps as
-        :func:`~repro.core.scaled_model.transform_feature_dict` — dependent
-        columns divided by the scaling feature's current value, scaling
-        columns removed — and returns the ``(n, len(input_features_))``
-        matrix the scaled MART model consumes.
+        Applies the scaling steps in order (Section 6.1): each step divides
+        the columns that depend on its feature by that feature's current
+        value (its absolute value, floored at ``MIN_DIVISOR``), and the
+        scaling columns are removed.  Returns the
+        ``(n, len(input_features_))`` matrix the scaled MART model consumes.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if not self.steps:
@@ -158,8 +154,8 @@ class CombinedModel:
         targets = np.asarray(targets, dtype=np.float64)
         raw = self.feature_matrix(feature_rows)
         matrix = self.transform_matrix(raw)
-        # Targets are divided per-step with the same floor transform_targets
-        # uses, so training stays numerically identical to the dict path.
+        # Each target is divided by its row's scaling factors, each floored
+        # at MIN_DIVISOR so a zero scaling value cannot divide by zero.
         scaled_targets = targets / self._step_factors(raw, floor=MIN_DIVISOR)
         self.model_ = MARTRegressor(self.mart_config)
         self.model_.fit(matrix, scaled_targets)
@@ -184,24 +180,6 @@ class CombinedModel:
         }
 
     # -- prediction ------------------------------------------------------------------------------
-    def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Estimate the resource for ``n`` operator instances at once.
-
-        ``matrix`` holds one row per instance with columns in
-        ``feature_names`` order.
-        """
-        if self.model_ is None:
-            raise RuntimeError(f"{self.name} has not been trained")
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self.feature_names):
-            raise ValueError(
-                f"{self.name}: expected an (n, {len(self.feature_names)}) matrix, "
-                f"got shape {matrix.shape}"
-            )
-        if matrix.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self.finish_batch(matrix, self.model_.predict(self.transform_matrix(matrix)))
-
     def finish_batch(self, matrix: np.ndarray, outputs: np.ndarray) -> np.ndarray:
         """Estimates from the scaled MART model's ``outputs`` for raw rows.
 
@@ -216,60 +194,3 @@ class CombinedModel:
         if self.steps:
             outputs = np.clip(outputs, self.scaled_target_low_, self.scaled_target_high_)
         return np.maximum(outputs * self.scale_factors(matrix), 0.0)
-
-    def predict(self, feature_values: dict[str, float]) -> float:
-        """Estimate the resource for one operator instance.
-
-        Thin one-row wrapper over :meth:`predict_batch`.
-        """
-        return float(self.predict_batch(self.feature_matrix([feature_values]))[0])
-
-    # -- model selection support --------------------------------------------------------------------
-    def out_ratio_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row, per-input-feature out-of-range ratios (in transformed space).
-
-        Each entry is the distance of the (transformed) feature value from the
-        model's training interval, normalised by the interval width; 0 means
-        the value was covered during training.  Features this model scales by
-        are not inputs of its scaled MART model, so they never contribute.
-        """
-        transformed = self.transform_matrix(np.asarray(matrix, dtype=np.float64))
-        n = transformed.shape[0]
-        if not self.input_features_:
-            return np.zeros((n, 0), dtype=np.float64)
-        known = np.array(
-            [name in self.training_low_ for name in self.input_features_], dtype=bool
-        )
-        lows = np.array(
-            [self.training_low_.get(name, 0.0) for name in self.input_features_],
-            dtype=np.float64,
-        )
-        highs = np.array(
-            [self.training_high_.get(name, 0.0) for name in self.input_features_],
-            dtype=np.float64,
-        )
-        widths = np.maximum(highs - lows, 1e-9)
-        ratios = (
-            np.maximum(lows - transformed, 0.0) + np.maximum(transformed - highs, 0.0)
-        ) / widths
-        ratios[:, ~known] = 0.0
-        return ratios
-
-    def out_ratio_profiles(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row out_ratios sorted descending along axis 1 (for tie-breaking)."""
-        return np.sort(self.out_ratio_matrix(matrix), axis=1)[:, ::-1]
-
-    def out_ratio(self, feature_values: dict[str, float], feature: str) -> float:
-        """How far outside the training range ``feature`` falls for this model."""
-        if feature not in self.training_low_:
-            return 0.0
-        row = self.feature_matrix([feature_values])
-        return float(self.out_ratio_matrix(row)[0, self.input_features_.index(feature)])
-
-    def out_ratio_profile(self, feature_values: dict[str, float]) -> list[float]:
-        """All per-feature out_ratios, sorted descending (for tie-breaking)."""
-        return [float(v) for v in self.out_ratio_profiles(self.feature_matrix([feature_values]))[0]]
-
-    def max_out_ratio(self, feature_values: dict[str, float]) -> float:
-        profile = self.out_ratio_profile(feature_values)
-        return profile[0] if profile else 0.0

@@ -142,14 +142,6 @@ class _FallbackModel:
         )
         return np.maximum(self.per_tuple * rows, 0.0)
 
-    def predict(self, feature_values: dict[str, float]) -> float:
-        return float(
-            self.predict_batch(
-                np.array([feature_values.get("COUT", 0.0)], dtype=np.float64),
-                np.array([feature_values.get("CIN1", 0.0)], dtype=np.float64),
-            )[0]
-        )
-
 
 @dataclass
 class WorkloadEstimate:

@@ -23,17 +23,17 @@ the source column and the dependent-column mask of every candidate, plus
 in each candidate's transformed space.  One call then makes a single pass
 over a (rows × candidates × features) copy of the matrix: it divides the
 copy step by step exactly as :meth:`CombinedModel.transform_matrix` does,
-computes every out_ratio with the operations of
-:meth:`CombinedModel.out_ratio_matrix`, sorts each profile in descending
-order (columns that are not a candidate's inputs are padded with ``_PAD``,
-which sorts below every real out_ratio), and picks each row's model with one
-stable ``np.lexsort`` over the keys (max out_ratio, #scaling features,
-out_ratio tail).  Each row's slice of the working copy for its chosen
-candidate is that candidate's transformed input, the rows
-:meth:`CombinedModel.transform_matrix` would compute, so serving feeds it
-straight to the model kernel.  The working copy is processed in row blocks
-of at most ``_CELL_BUDGET`` cells, so a large offline batch cannot balloon
-memory.
+computes every out_ratio (a transformed value's distance from the
+candidate's training interval over the interval's width, floored at 1e-9),
+sorts each profile in descending order (columns that are not a candidate's
+inputs are padded with ``_PAD``, which sorts below every real out_ratio),
+and picks each row's model with one stable ``np.lexsort`` over the keys (max
+out_ratio, #scaling features, out_ratio tail).  Each row's slice of the
+working copy for its chosen candidate is that candidate's transformed input,
+the rows :meth:`CombinedModel.transform_matrix` would compute, so serving
+feeds it straight to the model kernel.  The working copy is processed in row
+blocks of at most ``_CELL_BUDGET`` cells, so a large offline batch cannot
+balloon memory.
 
 NaN keys rank last, as ``np.lexsort`` orders them: a candidate whose key has
 a NaN in some column loses to every candidate whose keys agree with it
@@ -41,9 +41,11 @@ before that column and hold a number there.  NaN out_ratios arise only from
 non-finite features, which only the unguarded estimation path passes to
 selection, or from overflow of feature values past ~1e299.
 
-:meth:`ModelSelector.select_batch` builds the tables on the fly;
-:class:`~repro.core.trainer.OperatorModelSet` caches them, and the scalar
-:meth:`ModelSelector.select` is a one-row wrapper over the batch call.
+All candidates share the default model's ``feature_names`` (the trainer
+fits every model of a family over the same canonical feature tuple), so one
+matrix serves every candidate.  :class:`~repro.core.trainer.OperatorModelSet`
+caches the tables of its models; ``SelectionTables(default_model,
+models).select(matrix)`` selects over any other candidate list.
 """
 
 # repro: hot-path — batched estimation code; lint rules R1/R6 apply.
@@ -58,7 +60,7 @@ from repro.core.combined_model import CombinedModel
 from repro.core.scaled_model import MIN_DIVISOR
 from repro.features.dependencies import dependent_features
 
-__all__ = ["ModelSelector", "SelectionDecision", "BatchSelection", "SelectionTables"]
+__all__ = ["BatchSelection", "SelectionTables"]
 
 #: Length of the out_ratio tail used for tie-breaking (``profile[1:8]``).
 _PROFILE_TAIL = 7
@@ -70,15 +72,6 @@ _N_KEYS = 2 + _PROFILE_TAIL
 #: Upper bound on the (rows × candidates × features) cells of one working
 #: block (2 MiB per float64 temporary).
 _CELL_BUDGET = 1 << 18
-
-
-@dataclass(frozen=True)
-class SelectionDecision:
-    """The outcome of one model-selection decision (useful for diagnostics)."""
-
-    model: CombinedModel
-    max_out_ratio: float
-    used_default: bool
 
 
 @dataclass(frozen=True)
@@ -99,9 +92,6 @@ class BatchSelection:
     inputs: np.ndarray
     #: The tables the selection ran over (``candidates`` is their list).
     tables: "SelectionTables"
-
-    def model_for(self, row: int) -> CombinedModel:
-        return self.candidates[int(self.indices[row])]
 
 
 @dataclass(frozen=True)
@@ -285,38 +275,3 @@ class SelectionTables:
         chosen[in_range] = self.default_index
         chosen_max[in_range] = 0.0
         return chosen, chosen_max, in_range, work[rows, chosen]
-
-
-class ModelSelector:
-    """Implements the out_ratio selection heuristic."""
-
-    def select(
-        self,
-        default_model: CombinedModel,
-        models: list[CombinedModel],
-        feature_values: dict[str, float],
-    ) -> SelectionDecision:
-        """Choose the model to use for one operator instance."""
-        batch = self.select_batch(
-            default_model, models, default_model.feature_matrix([feature_values])
-        )
-        return SelectionDecision(
-            model=batch.model_for(0),
-            max_out_ratio=float(batch.max_out_ratios[0]),
-            used_default=bool(batch.used_default[0]),
-        )
-
-    def select_batch(
-        self,
-        default_model: CombinedModel,
-        models: list[CombinedModel],
-        matrix: np.ndarray,
-    ) -> BatchSelection:
-        """Choose a model for every row of a raw feature matrix.
-
-        All candidates must share ``default_model.feature_names`` (they do by
-        construction: the trainer fits every model of a family over the same
-        canonical feature tuple), so one matrix serves every model.  Builds
-        the :class:`SelectionTables` for this call; a model set caches them.
-        """
-        return SelectionTables(default_model, models).select(matrix)

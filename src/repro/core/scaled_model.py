@@ -10,12 +10,11 @@ A *scaled model* differs from the default model in three ways:
    so that a single root cause (e.g. an excessive tuple count) does not get
    scaled twice.
 
-This module implements those transformations as pure functions over feature
-dictionaries.  They are the *reference* scalar implementation: the production
-path in :class:`~repro.core.combined_model.CombinedModel` applies the same
-rules vectorised over matrices (``transform_matrix`` / ``_step_factors``),
-and the batch-estimation test suite pins the two implementations against
-each other.
+This module holds a model's scaling steps and the division floor they share.
+:class:`~repro.core.combined_model.CombinedModel` applies the rules
+vectorised over feature matrices (``transform_matrix`` / ``_step_factors``);
+``tests/reference.py`` states them over feature dictionaries, and the
+batch-estimation tests pin the two together.
 """
 
 # repro: hot-path — batched estimation code; lint rules R1/R6 apply.
@@ -24,18 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.scaling import ScalingFunction
-from repro.features.dependencies import dependent_features
 
-__all__ = ["MIN_DIVISOR", "ScalingStep", "transform_feature_dict", "transform_targets"]
+__all__ = ["MIN_DIVISOR", "ScalingStep"]
 
-#: Guard against division by zero when normalising dependent features.  The
-#: batched matrix transform in :mod:`repro.core.combined_model` applies the
-#: same floor so scalar and vectorised paths stay numerically identical.
+#: Guard against division by zero when normalising dependent features and
+#: scaling training targets.
 MIN_DIVISOR = 1e-9
-_MIN_DIVISOR = MIN_DIVISOR
 
 
 @dataclass(frozen=True)
@@ -49,45 +43,3 @@ class ScalingStep:
 
     feature: str
     function: ScalingFunction
-
-    def scale_value(self, feature_value: float) -> float:
-        """The multiplicative factor ``g(F̂)`` contributed by this step."""
-        return float(self.function(max(feature_value, 0.0)))
-
-
-def transform_feature_dict(
-    values: dict[str, float], steps: tuple[ScalingStep, ...]
-) -> dict[str, float]:
-    """Apply scaling-feature removal and dependent-feature normalisation.
-
-    Returns a new dictionary with the scaling features removed and every
-    dependent feature divided by the raw value of its scaling feature.  The
-    input dictionary is not modified.
-    """
-    transformed = dict(values)
-    for step in steps:
-        raw = transformed.get(step.feature, values.get(step.feature, 0.0))
-        divisor = max(abs(raw), _MIN_DIVISOR)
-        for dependent in dependent_features(step.feature):
-            if dependent in transformed:
-                transformed[dependent] = transformed[dependent] / divisor
-        transformed.pop(step.feature, None)
-    return transformed
-
-
-def transform_targets(
-    feature_rows: list[dict[str, float]],
-    targets: np.ndarray,
-    steps: tuple[ScalingStep, ...],
-) -> np.ndarray:
-    """Divide each target by the product of the scaling factors of its row."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if not steps:
-        return targets.copy()
-    scaled = targets.copy()
-    for i, row in enumerate(feature_rows):
-        factor = 1.0
-        for step in steps:
-            factor *= max(step.scale_value(row.get(step.feature, 0.0)), _MIN_DIVISOR)
-        scaled[i] = targets[i] / factor
-    return scaled

@@ -10,8 +10,9 @@ For every (operator family, resource) pair the trainer fits
 and then designates as the family's **default model** the trained model with
 the lowest error on the training set (the paper notes the default may
 already incorporate scaling).  The result is an :class:`OperatorModelSet`
-which, together with the online :class:`~repro.core.model_selection.ModelSelector`,
-fully determines how an operator instance is estimated.
+which, together with the online out_ratio selection over its
+:class:`~repro.core.model_selection.SelectionTables`, fully determines how
+an operator instance is estimated.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.combined_model import CombinedModel
-from repro.core.model_selection import (
-    BatchSelection,
-    ModelSelector,
-    SelectionDecision,
-    SelectionTables,
-)
+from repro.core.model_selection import BatchSelection, SelectionTables
 from repro.core.scaled_model import ScalingStep
 from repro.core.scaling import default_scaling_function
 from repro.features.definitions import (
@@ -87,22 +83,9 @@ class OperatorModelSet:
     resource: str
     models: list[CombinedModel]
     default_model: CombinedModel
-    selector: ModelSelector = field(default_factory=ModelSelector)
     _tables: SelectionTables | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        """Canonical raw feature order shared by every model of the set."""
-        return self.default_model.feature_names
-
-    def feature_matrix(self, feature_rows: list[dict[str, float]]) -> np.ndarray:
-        """Dense ``(n, len(feature_names))`` matrix from feature dictionaries."""
-        return self.default_model.feature_matrix(feature_rows)
-
-    def select(self, feature_values: dict[str, float]) -> SelectionDecision:
-        return self.selector.select(self.default_model, self.models, feature_values)
 
     def selection_tables(self) -> SelectionTables:
         """The selection tables of ``models`` and ``default_model``.
@@ -138,28 +121,6 @@ class OperatorModelSet:
                 matrix[mask], outputs[mask]
             )
         return estimates
-
-    def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Estimate the resource for every row of a raw feature matrix.
-
-        Selects a model per row in one vectorised pass, then runs one MART
-        evaluation per *chosen model* over the contiguous sub-matrix of the
-        rows it won, scattering results back into row order.  The estimator
-        serves through :meth:`select_batch`, a forest bank and
-        :meth:`finish_batch` instead; this per-model path is the reference
-        its results are tested against.
-        """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        selection = self.select_batch(matrix)
-        estimates = np.zeros(matrix.shape[0], dtype=np.float64)
-        for index in np.unique(selection.indices):
-            mask = selection.indices == index
-            estimates[mask] = selection.candidates[index].predict_batch(matrix[mask])
-        return estimates
-
-    def predict(self, feature_values: dict[str, float]) -> float:
-        """Estimate the resource for one operator instance."""
-        return float(self.predict_batch(self.feature_matrix([feature_values]))[0])
 
     @property
     def n_models(self) -> int:

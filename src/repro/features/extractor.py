@@ -129,13 +129,6 @@ class FeatureExtractor:
             for op in operators
         }
 
-    def extract_plans(self, plans: Sequence[QueryPlan]) -> dict[OperatorFamily, FamilyRows]:
-        """One (rows x features) matrix per family across ``plans``.
-
-        :func:`group_by_family` over :meth:`extract_plan` of every plan.
-        """
-        return group_by_family([self.extract_plan(plan) for plan in plans])
-
     def extract_operator(
         self, op: PlanOperator, parent: PlanOperator | None = None
     ) -> OperatorFeatures:

@@ -2,9 +2,11 @@
 
 The scalar estimation API is a one-row wrapper over the batched one, so these
 tests pin the remaining nontrivial batch machinery: the per-family grouping
-and scatter of ``estimate_workload``, the vectorised model selector, and the
-cross-query grouping of ``ScalingTechnique.predict_queries`` — across TPC-H
-and TPC-DS sample workloads and both resources.
+and scatter of ``estimate_workload``, a model set routing one batch's rows
+to different models, the matrix transform against its dictionary
+specification, and the cross-query grouping of
+``ScalingTechnique.predict_queries`` — across TPC-H and TPC-DS sample
+workloads and both resources.
 """
 
 from __future__ import annotations
@@ -14,21 +16,16 @@ import pytest
 
 from repro.core import ResourceEstimator
 from repro.core.combined_model import CombinedModel
-from repro.core.estimator import _FallbackModel
-from repro.core.model_selection import ModelSelector
-from repro.core.scaled_model import (
-    MIN_DIVISOR,
-    ScalingStep,
-    transform_feature_dict,
-    transform_targets,
-)
+from repro.core.scaled_model import MIN_DIVISOR, ScalingStep
 from repro.core.scaling import SCALING_FUNCTIONS
-from repro.core.trainer import ScalingModelTrainer, TrainerConfig
+from repro.core.trainer import OperatorModelSet
 from repro.baselines import ScalingTechnique
 from repro.features.definitions import FeatureMode, OperatorFamily
 from repro.ml.mart import MARTConfig
 from repro.workloads.datasets import build_training_data, split_workload
 from repro.workloads.tpcds import build_tpcds_workload
+
+from reference import model_set_predict_batch, transform_feature_dict, transform_targets
 
 RESOURCES = ("cpu", "io")
 
@@ -140,50 +137,7 @@ class TestCombinedModelBatch:
                 row["SINTOT1"] = row["CIN1"] * row["SINAVG1"]
         return rows
 
-    def test_predict_batch_matches_scalar(self):
-        rows, targets = synthetic_rows(max_rows=5_000.0)
-        for steps in (
-            (),
-            (ScalingStep("CIN1", SCALING_FUNCTIONS["linear"]),),
-            (
-                ScalingStep("CIN1", SCALING_FUNCTIONS["linear"]),
-                ScalingStep("SINAVG1", SCALING_FUNCTIONS["linear"]),
-            ),
-        ):
-            model = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, steps, tiny_mart())
-            model.fit(rows, targets)
-            probe = self._outlier_rows()
-            batched = model.predict_batch(model.feature_matrix(probe))
-            singles = np.array([model.predict(row) for row in probe])
-            assert batched == pytest.approx(singles, rel=1e-12)
-
-    def test_predict_batch_rejects_wrong_width(self):
-        rows, targets = synthetic_rows(50)
-        model = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, (), tiny_mart())
-        model.fit(rows, targets)
-        with pytest.raises(ValueError):
-            model.predict_batch(np.zeros((3, len(FEATURES) + 1)))
-
-    def test_trained_model_set_batch_matches_scalar(self):
-        rows, targets = synthetic_rows(300, max_rows=5_000.0)
-        from repro.core.trainer import FamilyTrainingData
-
-        data = FamilyTrainingData(family=OperatorFamily.FILTER)
-        for row, target in zip(rows, targets):
-            data.add(row, {"cpu": float(target)})
-        trainer = ScalingModelTrainer(TrainerConfig(mart=tiny_mart(), max_pair_models=1))
-        model_set = trainer.train_family(data, "cpu")
-        assert model_set is not None
-
-        probe = self._outlier_rows()
-        matrix = model_set.feature_matrix(probe)
-        batched = model_set.predict_batch(matrix)
-        singles = np.array([model_set.predict(row) for row in probe])
-        assert batched == pytest.approx(singles, rel=1e-12)
-
     def test_model_set_batch_routes_rows_to_different_models(self):
-        from repro.core.trainer import OperatorModelSet
-
         rows, targets = synthetic_rows(max_rows=5_000.0)
         plain = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, (), tiny_mart())
         plain.fit(rows, targets)
@@ -196,18 +150,23 @@ class TestCombinedModelBatch:
             family=OperatorFamily.FILTER, resource="cpu",
             models=[plain, scaled], default_model=plain,
         )
-        probe = self._outlier_rows()
-        matrix = model_set.feature_matrix(probe)
+        estimator = ResourceEstimator(model_sets={(OperatorFamily.FILTER, "cpu"): model_set})
+        matrix = plain.feature_matrix(self._outlier_rows())
         selection = model_set.select_batch(matrix)
         # In-range rows keep the plain default; CIN1 outliers switch to the
-        # scaled model — the scatter path must handle both groups in one call.
+        # scaled model — the served batch must handle both groups in one call,
+        # as the per-model path and one row at a time do.
         assert len(np.unique(selection.indices)) == 2
-        batched = model_set.predict_batch(matrix)
-        singles = np.array([model_set.predict(row) for row in probe])
-        assert batched == pytest.approx(singles, rel=1e-12)
+        batched = estimator.estimate_family_matrix(OperatorFamily.FILTER, matrix, "cpu")
+        assert batched.tobytes() == model_set_predict_batch(model_set, matrix).tobytes()
+        singles = np.concatenate([
+            estimator.estimate_family_matrix(OperatorFamily.FILTER, matrix[i : i + 1], "cpu")
+            for i in range(len(matrix))
+        ])
+        assert batched.tobytes() == singles.tobytes()
 
     def test_transform_matrix_matches_reference_dict_transform(self):
-        """transform_matrix must agree with the scalar reference in scaled_model.
+        """transform_matrix must agree with the dict reference in tests/reference.py.
 
         The dict functions are the Section 6.1 specification; the matrix path
         is the production implementation — this pins them together so neither
@@ -238,24 +197,6 @@ class TestCombinedModelBatch:
                 transform_targets(rows, targets, steps), rel=1e-12
             )
 
-    def test_selector_batch_matches_scalar(self):
-        rows, targets = synthetic_rows(max_rows=5_000.0)
-        plain = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, (), tiny_mart())
-        plain.fit(rows, targets)
-        scaled = CombinedModel(
-            OperatorFamily.FILTER, "cpu", FEATURES,
-            (ScalingStep("CIN1", SCALING_FUNCTIONS["linear"]),), tiny_mart(),
-        )
-        scaled.fit(rows, targets)
-        probe = self._outlier_rows()
-        selector = ModelSelector()
-        batch = selector.select_batch(plain, [plain, scaled], plain.feature_matrix(probe))
-        for i, row in enumerate(probe):
-            decision = selector.select(plain, [plain, scaled], row)
-            assert batch.model_for(i) is decision.model
-            assert batch.max_out_ratios[i] == pytest.approx(decision.max_out_ratio)
-            assert bool(batch.used_default[i]) == decision.used_default
-
 
 class TestFallbackModel:
     """Regression tests for the fallback constant bug (estimator.py).
@@ -268,29 +209,15 @@ class TestFallbackModel:
 
     def test_no_constant_offset(self, trained_estimator):
         fallback = trained_estimator.fallbacks["cpu"]
-        assert fallback.predict({"COUT": 0.0, "CIN1": 0.0}) == 0.0
+        assert fallback.predict_batch(np.array([0.0]), np.array([0.0]))[0] == 0.0
         assert not hasattr(fallback, "constant")
 
     def test_prediction_is_per_tuple_rate_times_rows(self, trained_estimator):
         fallback = trained_estimator.fallbacks["cpu"]
         assert fallback.per_tuple > 0.0
-        assert fallback.predict({"COUT": 1_000.0}) == pytest.approx(
-            fallback.per_tuple * 1_000.0
-        )
         # max(COUT, CIN1) drives the estimate.
-        assert fallback.predict({"COUT": 10.0, "CIN1": 5_000.0}) == pytest.approx(
-            fallback.per_tuple * 5_000.0
-        )
-
-    def test_batch_matches_scalar(self):
-        fallback = _FallbackModel(per_tuple=0.25)
-        cout = np.array([0.0, 10.0, 1_000.0])
-        cin1 = np.array([5.0, 0.0, 2_000.0])
-        batched = fallback.predict_batch(cout, cin1)
-        singles = [
-            fallback.predict({"COUT": c, "CIN1": i}) for c, i in zip(cout, cin1)
-        ]
-        assert batched == pytest.approx(singles)
+        estimates = fallback.predict_batch(np.array([1_000.0, 10.0]), np.array([0.0, 5_000.0]))
+        assert estimates == pytest.approx(fallback.per_tuple * np.array([1_000.0, 5_000.0]))
 
     def test_unseen_family_routed_through_fallback(self, trained_estimator):
         families = trained_estimator.families("cpu")

@@ -192,6 +192,43 @@ class TestMain:
         assert "Traceback" not in err
 
 
+class TestTrainingSizes:
+    """Training sizes that cannot train are usage errors, raised before training."""
+
+    # Small serving sizes keep a regression (a run that trains anyway) short.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--queries", "0"],
+            ["train", "--queries", "-2"],
+            ["train", "--iterations", "0"],
+            ["train", "--iterations", "-3"],
+            ["estimate", "--train-queries", "0", "--queries", "1"],
+            ["estimate", "--iterations", "0", "--queries", "1"],
+            ["serve-bench", "--train-queries", "0", "--requests", "1", "--warmup", "0"],
+            ["serve-bench", "--iterations", "-3", "--requests", "1", "--warmup", "0"],
+            ["adapt-bench", "--train-queries", "0", "--pre", "1", "--drift", "1", "--post", "1"],
+            ["adapt-bench", "--iterations", "0", "--pre", "1", "--drift", "1", "--post", "1"],
+        ],
+    )
+    def test_below_one_exits_2(self, argv, capsys, tmp_path):
+        out = tmp_path / "model.bin"
+        if argv[0] == "train":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_without_a_model_set_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "model.bin"
+        argv = ["train", "--out", str(out), "--queries", "2", "--iterations", "2"]
+        assert main([*argv, "--profile", "fast"]) == 2  # two queries: too few rows
+        assert "no model set" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainServeWorkflow:
     """train --out, then estimate --model: serve without retraining, exactly."""
 

@@ -5,13 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import ResourceEstimator
 from repro.core.combined_model import CombinedModel
-from repro.core.model_selection import ModelSelector
+from repro.core.model_selection import SelectionTables
 from repro.core.scaled_model import ScalingStep
 from repro.core.scaling import SCALING_FUNCTIONS
-from repro.core.trainer import FamilyTrainingData, ScalingModelTrainer, TrainerConfig
+from repro.core.trainer import (
+    FamilyTrainingData,
+    OperatorModelSet,
+    ScalingModelTrainer,
+    TrainerConfig,
+)
 from repro.features.definitions import OperatorFamily
 from repro.ml.mart import MARTConfig
+
+from reference import combined_predict_batch, out_ratio_matrix, out_ratio_profiles
 
 FEATURES = ("COUT", "SOUTAVG", "SOUTTOT", "CIN1", "SINAVG1", "SINTOT1",
             "CIN2", "SINAVG2", "SINTOT2", "OUTPUTUSAGE", "CPREDICATES")
@@ -47,6 +55,13 @@ def tiny_mart() -> MARTConfig:
     return MARTConfig(n_iterations=30, max_leaves=8, learning_rate=0.2, subsample=1.0)
 
 
+def served(model_set: OperatorModelSet, matrix: np.ndarray) -> np.ndarray:
+    """The set's estimates for raw rows, through the estimator's serving path."""
+    key = (model_set.family, model_set.resource)
+    estimator = ResourceEstimator(model_sets={key: model_set})
+    return estimator.estimate_family_matrix(model_set.family, matrix, model_set.resource)
+
+
 class TestCombinedModel:
     def test_plain_model_fits_training_data(self):
         rows, targets = synthetic_rows()
@@ -74,8 +89,9 @@ class TestCombinedModel:
             "OUTPUTUSAGE": 3.0, "CPREDICATES": 1.0,
         }
         truth = 0.05 * 200_000.0 * 1.5
-        scaled_error = abs(scaled.predict(big) - truth) / truth
-        plain_error = abs(plain.predict(big) - truth) / truth
+        row = plain.feature_matrix([big])
+        scaled_error = abs(combined_predict_batch(scaled, row)[0] - truth) / truth
+        plain_error = abs(combined_predict_batch(plain, row)[0] - truth) / truth
         assert scaled_error < 0.4
         assert scaled_error < plain_error
 
@@ -83,7 +99,7 @@ class TestCombinedModel:
         rows, targets = synthetic_rows()
         model = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, (), tiny_mart())
         model.fit(rows, targets)
-        assert model.max_out_ratio(rows[0]) == 0.0
+        assert out_ratio_profiles(model, model.feature_matrix(rows[:1]))[0, 0] == 0.0
 
     def test_out_ratio_positive_outside_training_range(self):
         rows, targets = synthetic_rows(max_rows=5_000.0)
@@ -91,7 +107,8 @@ class TestCombinedModel:
         model.fit(rows, targets)
         outlier = dict(rows[0])
         outlier["CIN1"] = 500_000.0
-        assert model.out_ratio(outlier, "CIN1") > 1.0
+        ratios = out_ratio_matrix(model, model.feature_matrix([outlier]))
+        assert ratios[0, model.input_features_.index("CIN1")] > 1.0
 
     def test_scaled_model_ignores_out_of_range_scaling_feature(self):
         rows, targets = synthetic_rows(max_rows=5_000.0)
@@ -105,20 +122,22 @@ class TestCombinedModel:
         outlier["SINTOT1"] = outlier["CIN1"] * outlier["SINAVG1"]
         # CIN1 is not an input of the scaled model, and SINTOT1 is normalised
         # by CIN1, so the instance is no longer an outlier for this model.
-        assert scaled.out_ratio(outlier, "CIN1") == 0.0
-        assert scaled.max_out_ratio(outlier) < 0.5
+        assert "CIN1" not in scaled.input_features_
+        assert out_ratio_profiles(scaled, scaled.feature_matrix([outlier]))[0, 0] < 0.5
 
     def test_predictions_are_nonnegative(self):
         rows, targets = synthetic_rows()
         model = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, (), tiny_mart())
         model.fit(rows, targets)
         tiny = {name: 0.0 for name in FEATURES}
-        assert model.predict(tiny) >= 0.0
+        assert combined_predict_batch(model, model.feature_matrix([tiny]))[0] >= 0.0
 
     def test_unfitted_model_raises(self):
         model = CombinedModel(OperatorFamily.FILTER, "cpu", FEATURES, (), tiny_mart())
+        model_set = OperatorModelSet(OperatorFamily.FILTER, "cpu", models=[model],
+                                     default_model=model)
         with pytest.raises(RuntimeError):
-            model.predict({name: 1.0 for name in FEATURES})
+            served(model_set, model.feature_matrix([{name: 1.0 for name in FEATURES}]))
         with pytest.raises(ValueError):
             model.fit([], np.array([]))
 
@@ -130,6 +149,12 @@ class TestCombinedModel:
         )
         assert "plain" in plain.name
         assert "CIN1:nlogn" in scaled.name
+
+
+def select_one(default, models, feature_values):
+    """(chosen model, selection) for one operator instance."""
+    selection = SelectionTables(default, models).select(default.feature_matrix([feature_values]))
+    return selection.candidates[selection.indices[0]], selection
 
 
 class TestModelSelection:
@@ -146,19 +171,19 @@ class TestModelSelection:
 
     def test_default_used_when_in_range(self):
         rows, plain, scaled = self._models()
-        decision = ModelSelector().select(plain, [plain, scaled], rows[0])
-        assert decision.model is plain
-        assert decision.used_default
-        assert decision.max_out_ratio == 0.0
+        model, selection = select_one(plain, [plain, scaled], rows[0])
+        assert model is plain
+        assert selection.used_default[0]
+        assert selection.max_out_ratios[0] == 0.0
 
     def test_scaled_model_chosen_for_outliers(self):
         rows, plain, scaled = self._models()
         outlier = dict(rows[0])
         outlier["CIN1"] = 1_000_000.0
         outlier["SINTOT1"] = outlier["CIN1"] * outlier["SINAVG1"]
-        decision = ModelSelector().select(plain, [plain, scaled], outlier)
-        assert decision.model is scaled
-        assert not decision.used_default
+        model, selection = select_one(plain, [plain, scaled], outlier)
+        assert model is scaled
+        assert not selection.used_default[0]
 
     def test_tie_break_prefers_fewer_scaling_features(self):
         rows, targets = synthetic_rows()
@@ -180,8 +205,8 @@ class TestModelSelection:
         outlier = dict(rows[0])
         outlier["CIN1"] = 1_000_000.0
         outlier["SINTOT1"] = outlier["CIN1"] * outlier["SINAVG1"]
-        decision = ModelSelector().select(plain, [plain, single, double], outlier)
-        assert decision.model is single
+        model, _ = select_one(plain, [plain, single, double], outlier)
+        assert model is single
 
 
 class TestTrainer:
@@ -214,8 +239,9 @@ class TestTrainer:
         trainer = ScalingModelTrainer(TrainerConfig(mart=tiny_mart(), max_pair_models=1))
         model_set = trainer.train_family(self._family_data(), "cpu")
         rows, _ = synthetic_rows(5, seed=99)
-        for row in rows:
-            assert model_set.predict(row) >= 0.0
+        estimates = served(model_set, model_set.default_model.feature_matrix(rows))
+        assert estimates.shape == (5,)
+        assert (estimates >= 0.0).all()
 
     def test_constant_features_not_used_for_scaling(self):
         trainer = ScalingModelTrainer(TrainerConfig(mart=tiny_mart()))

@@ -3,7 +3,8 @@
 Three serving-adjacent packages (:mod:`repro.serving`, :mod:`repro.robustness`,
 :mod:`repro.adaptive`) resolve their exports lazily through a PEP 562
 ``__getattr__`` over an ``_EXPORTS`` name->module table, while
-:mod:`repro.api` imports eagerly.  Either way, the contract is the same:
+:mod:`repro.api`, :mod:`repro.core`, :mod:`repro.features` and
+:mod:`repro.ml` import eagerly.  Either way, the contract is the same:
 
 * every name in ``__all__`` actually resolves (no stale table entries);
 * ``__all__`` carries no duplicates and matches the lazy table exactly;
@@ -19,7 +20,15 @@ import importlib
 import pytest
 
 #: Packages with a public export surface, lazy (PEP 562) or eager.
-_PACKAGES = ["repro.api", "repro.serving", "repro.robustness", "repro.adaptive"]
+_PACKAGES = [
+    "repro.api",
+    "repro.core",
+    "repro.features",
+    "repro.ml",
+    "repro.serving",
+    "repro.robustness",
+    "repro.adaptive",
+]
 _LAZY_PACKAGES = ["repro.serving", "repro.robustness", "repro.adaptive"]
 
 

@@ -7,7 +7,9 @@ cross-schema TPC-DS set) and hand-built edge-case trees, and survive the
 artifact round trip (the arrays load directly, optionally memory-mapped).
 That holds for a single forest and for the forest bank the estimator serves
 every selected model from in one call, which is also checked for one call
-per estimate and for concurrent first calls and model-set swaps.
+per estimate and for concurrent first calls and model-set swaps.  The
+estimates served through the bank equal the per-model path of
+``tests/reference.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.core import ResourceEstimator
 from repro.core.combined_model import CombinedModel
 from repro.core.serialization import load_estimator, save_estimator
 from repro.features.definitions import FeatureMode
+from repro.features.extractor import group_by_family
 from repro.ml import flat_ensemble
 from repro.ml.flat_ensemble import FlatForest, ForestBank, compile_mart, compile_transform
 from repro.ml.mart import MARTConfig, MARTRegressor
@@ -33,6 +36,8 @@ from repro.ml.transform_regression import TransformRegressor
 from repro.robustness import FaultInjector
 from repro.workloads.datasets import build_training_data, split_workload
 from repro.workloads.tpcds import build_tpcds_workload
+
+from reference import model_set_predict_batch
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,11 @@ def tpcds_estimator(tiny_trainer_config):
     )
 
 
+def rows_by_family(estimator, plans):
+    """The estimator's per-family rows of ``plans``."""
+    return group_by_family([estimator.extract_plan_features(plan) for plan in plans])
+
+
 def walked_bank_predict(bank, blocks):
     """Reference :meth:`ForestBank.predict`: each row through its model's node walk."""
     walked = []
@@ -94,13 +104,10 @@ def walked_bank_predict(bank, blocks):
 
 
 class TestWorkloadParity:
-    """Flat kernel == node walk on every trained model over real plans."""
+    """Flat kernel == node walk, and served == per-model path, over real plans."""
 
     def _family_matrices(self, estimator, plans):
-        return {
-            family: rows.matrix
-            for family, rows in estimator._extractor.extract_plans(plans).items()
-        }
+        return {family: rows.matrix for family, rows in rows_by_family(estimator, plans).items()}
 
     @pytest.mark.parametrize("resource", ["cpu", "io"])
     def test_model_level_parity_tpch(self, trained_estimator, tpch_test_plans, resource):
@@ -117,6 +124,22 @@ class TestWorkloadParity:
                 )
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("plans_name", ["tpch_test_plans", "tpcds_plans"])
+    def test_served_estimates_match_per_model_path(
+        self, request, trained_estimator, plans_name
+    ):
+        """The bank-served estimates of every set == the per-model reference path."""
+        matrices = self._family_matrices(trained_estimator, request.getfixturevalue(plans_name))
+        checked = {"cpu": 0, "io": 0}
+        for (family, resource), model_set in trained_estimator.model_sets.items():
+            if family not in matrices:
+                continue
+            matrix = matrices[family]
+            served = trained_estimator.estimate_family_matrix(family, matrix, resource)
+            assert np.array_equal(served, model_set_predict_batch(model_set, matrix))
+            checked[resource] += len(matrix)
+        assert min(checked.values()) > 100
 
     # The estimator evaluates its models through ForestBank.predict, so the
     # walked side replaces that call with the node-walking reference.
@@ -242,7 +265,7 @@ class TestForestBankParity:
     def test_every_candidate_matches_node_walk(self, request, estimator_name, plans_name):
         estimator = request.getfixturevalue(estimator_name)
         plans = request.getfixturevalue(plans_name)
-        family_rows = estimator._extractor.extract_plans(plans)
+        family_rows = rows_by_family(estimator, plans)
         candidates = _candidates(estimator)
         bank = _bank_of(candidates)
         blocks, expected = [], []
@@ -270,7 +293,7 @@ class TestForestBankParity:
     def test_mixed_models_in_one_call_match_one_model_at_a_time(
         self, trained_estimator, tpch_test_plans
     ):
-        family_rows = trained_estimator._extractor.extract_plans(tpch_test_plans)
+        family_rows = rows_by_family(trained_estimator, tpch_test_plans)
         candidates = _candidates(trained_estimator)
         bank = _bank_of(candidates)
         rng = np.random.default_rng(23)
@@ -300,7 +323,7 @@ class TestForestBankParity:
     def test_tiny_cell_budget_changes_no_bit(
         self, trained_estimator, tpcds_plans, monkeypatch, budget
     ):
-        family_rows = trained_estimator._extractor.extract_plans(tpcds_plans)
+        family_rows = rows_by_family(trained_estimator, tpcds_plans)
         candidates = _candidates(trained_estimator)
         bank = _bank_of(candidates)
         blocks = []

@@ -3,10 +3,9 @@
 The reference below is the paper's Section 6.3 rule written the slow, obvious
 way.  For every row and every candidate it takes the key (max out_ratio,
 #scaling features, out_ratio tail padded with -1.0) from
-:meth:`CombinedModel.out_ratio_profiles`, the per-model definition (one row
-of it is :meth:`CombinedModel.out_ratio_profile`); it picks the first
-candidate with the smallest key, ranking NaN entries after every number,
-then applies rule 1.  The production selector must choose the same index,
+``out_ratio_profiles`` in ``tests/reference.py``, the per-model definition;
+it picks the first candidate with the smallest key, ranking NaN entries
+after every number, then applies rule 1.  The production selector must choose the same index,
 return bit-equal max out_ratios and the same ``used_default`` flags: on
 trained TPC-H and TPC-DS model sets over real plan rows and seeded
 out-of-range scalings, on hand-built edge-case sets, on exact ties, in row
@@ -27,14 +26,17 @@ import pytest
 from repro.core import ResourceEstimator
 from repro.core import model_selection
 from repro.core.combined_model import CombinedModel
-from repro.core.model_selection import ModelSelector
+from repro.core.model_selection import SelectionTables
 from repro.core.scaled_model import ScalingStep
 from repro.core.scaling import SCALING_FUNCTIONS
 from repro.core.trainer import OperatorModelSet
 from repro.features.definitions import FeatureMode, OperatorFamily
+from repro.features.extractor import group_by_family
 from repro.ml.mart import MARTConfig
 from repro.workloads.datasets import build_training_data, split_workload
 from repro.workloads.tpcds import build_tpcds_workload
+
+from reference import combined_predict_batch, model_set_predict_batch, out_ratio_profiles
 
 #: Filter-like feature order of the hand-built sets.  CPREDICATES and
 #: OUTPUTUSAGE have no dependents, so scaling by them leaves every other
@@ -57,7 +59,7 @@ def reference_select(default_model, models, matrix):
     if not any(model is default_model for model in candidates):
         candidates.append(default_model)
     default_index = next(i for i, m in enumerate(candidates) if m is default_model)
-    profiles = [model.out_ratio_profiles(matrix).tolist() for model in candidates]
+    profiles = [out_ratio_profiles(model, matrix).tolist() for model in candidates]
     indices, max_ratios = [], []
     for row in range(matrix.shape[0]):
         keys = []
@@ -138,7 +140,7 @@ class TestTrainedSets:
     @pytest.mark.parametrize("estimator_name", ["trained_estimator", "tpcds_estimator"])
     def test_matches_reference_on_plan_rows(self, request, estimator_name, served_plans):
         estimator = request.getfixturevalue(estimator_name)
-        family_rows = estimator._extractor.extract_plans(served_plans)
+        family_rows = group_by_family([estimator.extract_plan_features(p) for p in served_plans])
         checked = 0
         for seed, ((family, resource), model_set) in enumerate(
             sorted(estimator.model_sets.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
@@ -150,9 +152,7 @@ class TestTrainedSets:
             assert_matches_reference(
                 selection, model_set.default_model, model_set.models, matrix
             )
-            fresh = ModelSelector().select_batch(
-                model_set.default_model, model_set.models, matrix
-            )
+            fresh = SelectionTables(model_set.default_model, model_set.models).select(matrix)
             np.testing.assert_array_equal(fresh.indices, selection.indices)
             checked += matrix.shape[0]
         assert checked > 500
@@ -226,7 +226,7 @@ class TestHandBuiltSets:
     def test_matches_reference(self, name):
         default, models = _hand_built(name)
         matrix = _probe()
-        selection = ModelSelector().select_batch(default, models, matrix)
+        selection = SelectionTables(default, models).select(matrix)
         assert_matches_reference(selection, default, models, matrix)
         # Both rules fire on the probe: in-range rows keep the default and
         # some out-of-range row moves off it.
@@ -235,13 +235,13 @@ class TestHandBuiltSets:
 
     def test_default_outside_models_is_appended(self):
         default, models = _hand_built("default-outside-models")
-        selection = ModelSelector().select_batch(default, models, _probe())
+        selection = SelectionTables(default, models).select(_probe())
         assert selection.candidates[-1] is default
         assert len(selection.candidates) == len(models) + 1
 
     def test_candidate_without_inputs_has_zero_max(self):
         default, models = _hand_built("no-input-features")
-        selection = ModelSelector().select_batch(default, models, _probe())
+        selection = SelectionTables(default, models).select(_probe())
         moved = ~selection.used_default
         assert (selection.indices[moved] == 1).all()
         assert (selection.max_out_ratios[moved] == 0.0).all()
@@ -252,7 +252,7 @@ class TestTies:
         first, second = _ranged("CIN1"), _ranged("CIN1")
         models = [_ranged(), first, second]
         matrix = _probe()
-        selection = ModelSelector().select_batch(models[0], models, matrix)
+        selection = SelectionTables(models[0], models).select(matrix)
         assert_matches_reference(selection, models[0], models, matrix)
         assert (selection.indices == 1).any()
         assert not (selection.indices == 2).any()
@@ -266,18 +266,18 @@ class TestTies:
         row[0, NAMES.index("CIN1")] *= 1e4  # the same max out_ratio for every model
         row[0, NAMES.index("OUTPUTUSAGE")] = 6.0  # a smaller second one
         models = [pair, by_predicates, by_usage, plain]
-        selection = ModelSelector().select_batch(plain, models, row)
+        selection = SelectionTables(plain, models).select(row)
         assert_matches_reference(selection, plain, models, row)
         assert selection.indices[0] == 3  # plain: fewest scaling features
         # Without plain, the pair loses on #scaling features and, of the
         # single-step models, the one that drops OUTPUTUSAGE has the smaller
         # second-largest out_ratio.
         models = [pair, by_predicates, by_usage]
-        selection = ModelSelector().select_batch(by_predicates, models, row)
+        selection = SelectionTables(by_predicates, models).select(row)
         assert_matches_reference(selection, by_predicates, models, row)
         assert selection.indices[0] == 2
         row[0, NAMES.index("OUTPUTUSAGE")] = 3.0  # back in range: an exact tie
-        selection = ModelSelector().select_batch(by_predicates, models, row)
+        selection = SelectionTables(by_predicates, models).select(row)
         assert_matches_reference(selection, by_predicates, models, row)
         assert selection.indices[0] == 1
 
@@ -287,9 +287,9 @@ class TestRowBlocks:
     def test_tiny_cell_budget_matches_one_block(self, monkeypatch, budget):
         default, models = _hand_built("dependent-pair")
         matrix = _probe(n=97)
-        whole = ModelSelector().select_batch(default, models, matrix)
+        whole = SelectionTables(default, models).select(matrix)
         monkeypatch.setattr(model_selection, "_CELL_BUDGET", budget)
-        blocked = ModelSelector().select_batch(default, models, matrix)
+        blocked = SelectionTables(default, models).select(matrix)
         np.testing.assert_array_equal(blocked.indices, whole.indices)
         assert blocked.max_out_ratios.tobytes() == whole.max_out_ratios.tobytes()
         np.testing.assert_array_equal(blocked.used_default, whole.used_default)
@@ -297,7 +297,7 @@ class TestRowBlocks:
 
     def test_empty_matrix(self):
         default, models = _hand_built("dependent-pair")
-        selection = ModelSelector().select_batch(default, models, np.zeros((0, len(NAMES))))
+        selection = SelectionTables(default, models).select(np.zeros((0, len(NAMES))))
         assert selection.indices.shape == (0,)
         assert selection.max_out_ratios.shape == (0,)
         assert selection.used_default.shape == (0,)
@@ -305,7 +305,7 @@ class TestRowBlocks:
     def test_wrong_width_is_rejected(self):
         default, models = _hand_built("dependent-pair")
         with pytest.raises(ValueError, match="feature matrix"):
-            ModelSelector().select_batch(default, models, np.zeros((2, len(NAMES) + 1)))
+            SelectionTables(default, models).select(np.zeros((2, len(NAMES) + 1)))
 
 
 class TestNaNRanksLast:
@@ -319,7 +319,7 @@ class TestNaNRanksLast:
         matrix[rng.random(matrix.shape) < 0.02] = np.inf
         matrix[:3] = _training_matrix(3, seed=9) * 1e300  # overflow to inf/NaN
         with np.errstate(all="ignore"):
-            selection = ModelSelector().select_batch(default, models, matrix)
+            selection = SelectionTables(default, models).select(matrix)
             assert_matches_reference(selection, default, models, matrix)
 
     def test_nan_max_loses_to_a_number(self):
@@ -328,7 +328,7 @@ class TestNaNRanksLast:
         by_predicates = _ranged("CPREDICATES")
         row = _training_matrix(1, seed=5)
         row[0, NAMES.index("CPREDICATES")] = np.nan
-        selection = ModelSelector().select_batch(plain, [plain, by_predicates], row)
+        selection = SelectionTables(plain, [plain, by_predicates]).select(row)
         # plain's key is (nan, 0, ...); the CPREDICATES model does not read
         # the NaN column and covers the rest: (0.0, 1, ...).
         assert selection.indices[0] == 1
@@ -354,7 +354,7 @@ class TestTransformedInputs:
     @pytest.mark.parametrize("estimator_name", ["trained_estimator", "tpcds_estimator"])
     def test_trained_sets_on_plan_rows(self, request, estimator_name, served_plans):
         estimator = request.getfixturevalue(estimator_name)
-        family_rows = estimator._extractor.extract_plans(served_plans)
+        family_rows = group_by_family([estimator.extract_plan_features(p) for p in served_plans])
         chosen = 0
         for seed, ((family, _), model_set) in enumerate(
             sorted(estimator.model_sets.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
@@ -371,15 +371,15 @@ class TestTransformedInputs:
     def test_hand_built_sets(self, name):
         default, models = _hand_built(name)
         matrix = _probe()
-        assert_inputs_match(ModelSelector().select_batch(default, models, matrix), matrix)
+        assert_inputs_match(SelectionTables(default, models).select(matrix), matrix)
 
     @pytest.mark.parametrize("budget", [1, 100, 1000])
     def test_tiny_cell_budget(self, monkeypatch, budget):
         default, models = _hand_built("repeated-step-feature")
         matrix = _probe(n=97)
-        whole = ModelSelector().select_batch(default, models, matrix)
+        whole = SelectionTables(default, models).select(matrix)
         monkeypatch.setattr(model_selection, "_CELL_BUDGET", budget)
-        blocked = ModelSelector().select_batch(default, models, matrix)
+        blocked = SelectionTables(default, models).select(matrix)
         assert blocked.inputs.tobytes() == whole.inputs.tobytes()
         assert_inputs_match(blocked, matrix)
 
@@ -391,7 +391,7 @@ class TestTransformedInputs:
         matrix[rng.random(matrix.shape) < 0.02] = np.inf
         matrix[rng.random(matrix.shape) < 0.02] = -np.inf
         with np.errstate(all="ignore"):
-            assert_inputs_match(ModelSelector().select_batch(default, models, matrix), matrix)
+            assert_inputs_match(SelectionTables(default, models).select(matrix), matrix)
 
 
 # -- the model set's cached tables -----------------------------------------------------
@@ -498,5 +498,6 @@ def test_field_equal_default_is_not_merged_with_a_member():
     selection = model_set.select_batch(train)
     assert selection.candidates[-1] is default
     assert selection.used_default.all()
-    np.testing.assert_array_equal(model_set.predict_batch(train), default.predict_batch(train))
-    assert not np.allclose(model_set.predict_batch(train), member.predict_batch(train))
+    estimates = model_set_predict_batch(model_set, train)
+    np.testing.assert_array_equal(estimates, combined_predict_batch(default, train))
+    assert not np.allclose(estimates, combined_predict_batch(member, train))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scaled_model import ScalingStep, transform_feature_dict, transform_targets
+from repro.core.scaled_model import ScalingStep
 from repro.core.scaling import (
     SCALING_FUNCTIONS,
     TWO_INPUT_SCALING_FUNCTIONS,
@@ -16,6 +16,8 @@ from repro.core.scaling import (
     make_scaling_function,
 )
 from repro.features.definitions import OperatorFamily
+
+from reference import transform_feature_dict, transform_targets
 
 
 class TestScalingFunctions:
